@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from ..charlib.nldm import Library, LibertyCell
+from ..synth.truth import tt_flip_input, tt_mask, tt_permute
 
 #: Maximum matchable gate arity.
 MAX_MATCH_INPUTS = 4
@@ -144,22 +145,20 @@ class TechLibraryView:
     def _index_function(self, table: int, arity: int) -> None:
         """Enumerate all NP configurations of one function."""
         key = (table, arity)
+        full = tt_mask(arity)
+        # flipped[neg_mask]: the cell function with the pins in
+        # ``neg_mask`` inverted.
+        flipped = [table]
+        for neg_mask in range(1, 1 << arity):
+            low = (neg_mask & -neg_mask).bit_length() - 1
+            flipped.append(tt_flip_input(flipped[neg_mask & (neg_mask - 1)], low, arity))
         for perm in permutations(range(arity)):
+            # Cell pin i sees leaf perm[i]: leaf j drives pin inverse[j].
+            inverse = tuple(sorted(range(arity), key=perm.__getitem__))
             for neg_mask in range(1 << arity):
-                # Function realized at the output: f(y) where cell pin
-                # i sees leaf perm[i] (inverted per neg bit of pin i).
-                realized = 0
-                for assignment in range(1 << arity):
-                    pin_values = 0
-                    for pin in range(arity):
-                        bit = (assignment >> perm[pin]) & 1
-                        if (neg_mask >> pin) & 1:
-                            bit ^= 1
-                        pin_values |= bit << pin
-                    if (table >> pin_values) & 1:
-                        realized |= 1 << assignment
+                realized = tt_permute(flipped[neg_mask], inverse, arity)
                 for output_neg in (False, True):
-                    final = realized ^ ((1 << (1 << arity)) - 1 if output_neg else 0)
+                    final = realized ^ (full if output_neg else 0)
                     configs = self.match_tables[arity].setdefault(final, [])
                     configs.append(
                         MatchConfig(

@@ -6,30 +6,63 @@ set of nodes (leaves) whose removal separates ``n`` from the primary
 inputs and whose truth table is small enough to compute.  The
 priority-cut scheme keeps only the best ``C`` cuts per node, which
 bounds the quadratic blow-up of exhaustive enumeration.
+
+The engine follows Mishchenko, Cho, Chatterjee and Brayton
+("Combinational and Sequential Mapping with Priority Cuts", ICCAD
+2007):
+
+* every cut carries a 64-bit leaf signature, so most oversized merges
+  and failed dominance checks are rejected with one ``&``/``|``;
+* candidates are ranked before they are filtered, so only the cuts
+  that survive get a truth table (expanded a word at a time by
+  :func:`repro.synth.truth.tt_expand`);
+* the cut sets of the last few networks are memoized on their exact
+  AND structure and shared read-only, because consecutive passes
+  often enumerate the same network with the same settings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from .. import obs
 from .aig import AIG, lit_is_compl, lit_var
-from .truth import tt_expand, tt_mask, tt_not, tt_var
+from .truth import tt_expand, tt_mask, tt_var
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """A cut: sorted leaf node ids plus the truth table of the root
-    over those leaves (positive polarity of the root node)."""
+    over those leaves (positive polarity of the root node).
+
+    ``sig`` is the leaf signature, one bit per ``leaf % 64``: a
+    subset's bits are a subset of ``sig``, and a union of signatures
+    has no more bits than the union of leaves.  It lets merges and
+    dominance checks reject most pairs without touching the leaf
+    tuples.
+    """
 
     leaves: tuple[int, ...]
     table: int
+    sig: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sig = 0
+        for leaf in self.leaves:
+            sig |= 1 << (leaf & 63)
+        object.__setattr__(self, "sig", sig)
 
     def size(self) -> int:
         return len(self.leaves)
 
     def dominates(self, other: "Cut") -> bool:
         """True if this cut's leaves are a subset of the other's."""
+        if self.sig & ~other.sig:
+            return False
         return set(self.leaves) <= set(other.leaves)
 
 
@@ -37,38 +70,105 @@ class Cut:
 NO_TABLE = -1
 
 
-def _merge_cuts(
-    cut_a: Cut, cut_b: Cut, compl_a: bool, compl_b: bool, k: int, with_tables: bool
-) -> Cut | None:
-    """Merge fanin cuts into a candidate cut of the AND node."""
-    leaves = tuple(sorted(set(cut_a.leaves) | set(cut_b.leaves)))
-    if len(leaves) > k:
-        return None
-    if not with_tables:
-        return Cut(leaves, NO_TABLE)
+def _filter_dominated(candidates: list[tuple], limit: int) -> list[tuple]:
+    """The first ``limit`` candidates that no kept candidate dominates.
+
+    ``candidates`` are ``(leaves, sig, ...)`` tuples with distinct leaf
+    sets, sorted by ``(size, leaves)``: a cut can only be dominated by
+    a smaller one, so every dominator of a candidate is considered (and,
+    if itself undominated, kept) before it.  The result is therefore the
+    ``limit`` best undominated cuts.
+    """
+    kept: list[tuple] = []
+    for candidate in candidates:
+        leaves, sig = candidate[0], candidate[1]
+        for other in kept:
+            if not other[1] & ~sig and set(other[0]) <= set(leaves):
+                break
+        else:
+            kept.append(candidate)
+            if len(kept) == limit:
+                break
+    return kept
+
+
+def _merged_table(leaves: tuple[int, ...], fanin: Cut, compl: bool) -> int:
+    """A fanin cut's table re-expressed over ``leaves`` (a superset)."""
     n = len(leaves)
-    position = {leaf: i for i, leaf in enumerate(leaves)}
-    table_a = tt_expand(
-        cut_a.table, [position[l] for l in cut_a.leaves], len(cut_a.leaves), n
-    )
-    table_b = tt_expand(
-        cut_b.table, [position[l] for l in cut_b.leaves], len(cut_b.leaves), n
-    )
-    if compl_a:
-        table_a = tt_not(table_a, n)
-    if compl_b:
-        table_b = tt_not(table_b, n)
-    return Cut(leaves, table_a & table_b)
+    table = fanin.table
+    if fanin.leaves != leaves:
+        positions = [leaves.index(leaf) for leaf in fanin.leaves]
+        table = tt_expand(table, positions, len(fanin.leaves), n)
+    return table ^ tt_mask(n) if compl else table
 
 
-def _filter_dominated(cuts: list[Cut]) -> list[Cut]:
-    result: list[Cut] = []
-    for cut in cuts:
-        if any(other.dominates(cut) for other in result):
+#: AND structure of a network: ``(fanin0, fanin1, is_pi, pis)``.
+Structure = tuple[tuple[int, ...], tuple[int, ...], bytes, tuple[int, ...]]
+
+
+def structure_key(aig: AIG) -> Structure:
+    """Everything cut enumeration reads from a network.
+
+    Node fanins, the PI flags and the PI order; no names, no outputs.
+    Two networks with equal keys have identical cut sets.
+    """
+    return (tuple(aig._fanin0), tuple(aig._fanin1), bytes(aig._is_pi), tuple(aig.pis))
+
+
+#: ``_miss.flag`` is set by a call that ran the enumeration rather
+#: than returning a memoized result (per thread: passes of parallel
+#: scenarios enumerate concurrently).
+_miss = threading.local()
+
+
+@lru_cache(maxsize=4)
+def enumerate_structure(
+    structure: Structure, k: int, max_cuts: int, include_trivial: bool, compute_tables: bool
+) -> Mapping[int, tuple[Cut, ...]]:
+    """Cut sets of one :func:`structure_key`, as :func:`enumerate_cuts`
+    returns them.
+
+    The last four results (about 2 MB each on a 1,400-AND network) are
+    kept and shared read-only; ``enumerate_structure.cache_clear()``
+    drops them.  The memo compares keys for equality, so only an
+    identical structure hits.
+    """
+    _miss.flag = True
+    fanin0, fanin1, is_pi, pis = structure
+    trivial_table = tt_var(0, 1) if compute_tables else NO_TABLE
+    cuts: dict[int, tuple[Cut, ...]] = {node: (Cut((node,), trivial_table),) for node in pis}
+    cuts[0] = (Cut((), 0 if compute_tables else NO_TABLE),)
+
+    for node in range(1, len(fanin0)):
+        if is_pi[node]:
             continue
-        result = [other for other in result if not cut.dominates(other)]
-        result.append(cut)
-    return result
+        f0, f1 = fanin0[node], fanin1[node]
+        cuts_b = cuts[lit_var(f1)]
+        # First fanin pair of every distinct leaf set that fits in k.
+        pairs: dict[tuple[int, ...], tuple] = {}
+        for cut_a in cuts[lit_var(f0)]:
+            leaves_a, sig_a = cut_a.leaves, cut_a.sig
+            for cut_b in cuts_b:
+                sig = sig_a | cut_b.sig
+                if sig.bit_count() > k:
+                    continue
+                leaves = tuple(sorted({*leaves_a, *cut_b.leaves}))
+                if len(leaves) <= k and leaves not in pairs:
+                    pairs[leaves] = (leaves, sig, cut_a, cut_b)
+        ordered = sorted(pairs.values(), key=lambda c: (len(c[0]), c[0]))
+        kept = []
+        for leaves, _, cut_a, cut_b in _filter_dominated(ordered, max_cuts):
+            if compute_tables:
+                table = _merged_table(leaves, cut_a, lit_is_compl(f0)) & _merged_table(
+                    leaves, cut_b, lit_is_compl(f1)
+                )
+            else:
+                table = NO_TABLE
+            kept.append(Cut(leaves, table))
+        if include_trivial:
+            kept.append(Cut((node,), trivial_table))
+        cuts[node] = tuple(kept)
+    return MappingProxyType(cuts)
 
 
 def enumerate_cuts(
@@ -77,53 +177,34 @@ def enumerate_cuts(
     max_cuts: int = 8,
     include_trivial: bool = True,
     compute_tables: bool = True,
-) -> dict[int, list[Cut]]:
+) -> Mapping[int, tuple[Cut, ...]]:
     """Priority-cut enumeration.
 
-    Returns node-id -> cut list.  Every node carries its trivial cut
-    ``({n}, x0)`` (needed so larger cuts can stop at internal nodes).
-    Cut lists are pruned to ``max_cuts`` by (size, leaf-id) preference
-    after dominance filtering.
+    Returns a read-only node-id -> cut tuple mapping.  Every node
+    carries its trivial cut ``({n}, x0)`` (needed so larger cuts can
+    stop at internal nodes).  Cut lists are pruned to ``max_cuts`` by
+    (size, leaf-id) preference after dominance filtering.
 
-    With ``compute_tables=False`` the per-merge truth-table expansion
-    (the dominant cost at k = 6) is skipped; tables carry the
-    :data:`NO_TABLE` sentinel and consumers compute them on demand
-    (see :func:`cut_function`).
+    With ``compute_tables=False`` no truth tables are computed; tables
+    carry the :data:`NO_TABLE` sentinel and consumers compute them on
+    demand for the cuts they select (see :func:`cut_function`).
+
+    Results are memoized by :func:`enumerate_structure` and shared
+    between callers: a network with the same AND structure (names and
+    outputs aside) gets the same mapping back.
     """
     if k < 2:
         raise ValueError("cut size must be at least 2")
-    cuts: dict[int, list[Cut]] = {}
-    trivial_table = tt_var(0, 1) if compute_tables else NO_TABLE
-
-    for node in aig.pis:
-        cuts[node] = [Cut((node,), trivial_table)]
-    cuts[0] = [Cut((), 0 if compute_tables else NO_TABLE)]
-
-    for node in aig.and_nodes():
-        f0, f1 = aig.fanins(node)
-        v0, v1 = lit_var(f0), lit_var(f1)
-        c0, c1 = lit_is_compl(f0), lit_is_compl(f1)
-        merged: list[Cut] = []
-        seen: set[tuple[int, ...]] = set()
-        for cut_a in cuts[v0]:
-            for cut_b in cuts[v1]:
-                candidate = _merge_cuts(cut_a, cut_b, c0, c1, k, compute_tables)
-                if candidate is None:
-                    continue
-                if not compute_tables:
-                    if candidate.leaves in seen:
-                        continue
-                    seen.add(candidate.leaves)
-                merged.append(candidate)
-        merged = _filter_dominated(merged)
-        merged.sort(key=lambda c: (len(c.leaves), c.leaves))
-        merged = merged[:max_cuts]
-        if include_trivial:
-            merged.append(Cut((node,), trivial_table))
-        cuts[node] = merged
-    if obs.current_tracer() is not None:
-        obs.count("synth.cuts.enumerated", sum(len(v) for v in cuts.values()))
-        obs.count("synth.cuts.calls")
+    with obs.span("synth.cuts", k=k, max_cuts=max_cuts, tables=compute_tables):
+        _miss.flag = False
+        cuts = enumerate_structure(
+            structure_key(aig), k, max_cuts, include_trivial, compute_tables
+        )
+        if obs.current_tracer() is not None:
+            if not _miss.flag:
+                obs.count("synth.cuts.reused")
+            obs.count("synth.cuts.enumerated", sum(len(v) for v in cuts.values()))
+            obs.count("synth.cuts.calls")
     return cuts
 
 

@@ -324,6 +324,37 @@ class TestPipelineIntegration:
         assert tracer.counters.get("sta.timing_queries", 0) >= 1
         assert tracer.counters.get("map.nodes_mapped", 0) > 0
 
+    def test_cut_enumeration_span_and_reuse_counter(self):
+        from repro.benchgen import build_circuit
+        from repro.synth.cuts import enumerate_structure, enumerate_cuts
+
+        aig = build_circuit("ctrl", "small")
+        enumerate_structure.cache_clear()
+        with obs.Tracer() as tracer:
+            first = enumerate_cuts(aig, k=4, max_cuts=8)
+            again = enumerate_cuts(aig, k=4, max_cuts=8)
+        enumerate_structure.cache_clear()
+        assert again is first
+        spans = [s for s in tracer.spans if s.name == "synth.cuts"]
+        assert len(spans) == 2
+        assert spans[0].attrs["k"] == 4 and spans[0].attrs["max_cuts"] == 8
+        # Calls served from the memo still count as calls and cuts.
+        assert tracer.counters["synth.cuts.calls"] == 2
+        assert tracer.counters["synth.cuts.reused"] == 1
+        assert tracer.counters["synth.cuts.enumerated"] == 2 * sum(
+            len(v) for v in first.values()
+        )
+
+    def test_passes_nest_cut_spans(self):
+        from repro.benchgen import build_circuit
+        from repro.synth import compress2rs
+
+        with obs.Tracer() as tracer:
+            compress2rs(build_circuit("ctrl", "small"))
+        by_id = {s.span_id: s for s in tracer.spans}
+        parents = {by_id[s.parent_id].name for s in tracer.spans if s.name == "synth.cuts"}
+        assert parents == {"synth.rewrite", "synth.refactor"}
+
     def test_flow_result_to_dict_round_trips_json(self):
         from repro.benchgen import build_circuit
         from repro.charlib import default_library
