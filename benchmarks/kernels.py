@@ -1,11 +1,12 @@
 """Kernel performance-trajectory runner.
 
 Times the computational kernels the flow is built on — AIG simulation,
-cut enumeration, SAT, SPICE transients (both stamping kernels), a
-charlib SPICE arc (scalar vs vector), a whole NLDM grid through the
-trajectory-batched solver (batch vs vector), a full SPICE cell
-characterization, and a device Monte-Carlo sweep — and writes one
-machine-readable ``BENCH_kernels.json``.  CI's bench-smoke job runs
+cut enumeration, SAT, a SPICE transient and a charlib SPICE arc (the
+scalar stamping oracle vs the engine's vector stamper), a whole NLDM
+grid (the trajectory batch vs the serial per-point oracle loop), a full
+SPICE cell characterization, and a device Monte-Carlo sweep — and
+writes one machine-readable ``BENCH_kernels.json``.  The reference
+sides come from the test oracles in ``tests/oracles/spice_ref.py``.  CI's bench-smoke job runs
 this once per change and archives the JSON, so the numbers form a
 trajectory across commits rather than a one-off measurement.
 
@@ -15,14 +16,14 @@ Usage (from the repository root)::
         [--repeats N] [--assert-batch-default] [--assert-speedup MIN]
 
 Each section reports best-of-``repeats`` wall time; the SPICE and
-charlib sections additionally report their kernel pair and the derived
-speedup.  Observability counters recorded during the run
+charlib sections additionally report their reference/engine pair and
+the derived speedup.  Observability counters recorded during the run
 (``spice.kernel.*``, ``spice.batch.*``, ``charlib.spice.kernel.*``,
 Newton statistics) are embedded under ``"counters"`` so the artifact
-also proves *which* kernel path executed — ``--assert-batch-default``
-fails the run if the default path was not the trajectory-batched one,
-and ``--assert-speedup MIN`` fails it if the whole-grid batch kernel
-beats the per-instance vector loop by less than ``MIN``x.
+also proves *which* path executed — ``--assert-batch-default`` fails
+the run if the trajectory batch never ran (``spice.batch.runs`` is 0),
+and ``--assert-speedup MIN`` fails it if the whole-grid batch beats the
+serial per-point loop by less than ``MIN``x.
 
 See ``docs/PERFORMANCE.md`` for the schema and how to add a section.
 """
@@ -34,6 +35,12 @@ import json
 import random
 import sys
 import time
+from pathlib import Path
+
+# The reference sides of the SPICE sections are the test oracles.
+REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
 
 
 def best_of(fn, repeats: int) -> float:
@@ -107,10 +114,10 @@ def bench_sat(repeats: int) -> dict:
     }
 
 
-def _inverter_transient(settings):
+def _inverter_transient(simulator):
     from repro.device import CryoFinFET, default_nfet_5nm, default_pfet_5nm
     from repro.pdk import cryo5_technology
-    from repro.spice import Circuit, DC, Simulator, ramp
+    from repro.spice import Circuit, DC, ramp
 
     tech = cryo5_technology()
     circuit = Circuit("inv")
@@ -119,18 +126,15 @@ def _inverter_transient(settings):
     circuit.add_finfet("mp", "y", "a", "vdd", CryoFinFET(default_pfet_5nm(nfin=3)))
     circuit.add_finfet("mn", "y", "a", "0", CryoFinFET(default_nfet_5nm(nfin=2)))
     circuit.add_capacitor("cl", "y", "0", 2e-15)
-    return Simulator(circuit, 10.0, settings=settings).transient(2e-10, 1e-12)
+    return simulator(circuit, 10.0).transient(2e-10, 1e-12)
 
 
 def bench_spice_transient(repeats: int) -> dict:
-    from repro.spice import SimulatorSettings
+    from repro.spice import Simulator
+    from tests.oracles.spice_ref import scalar_simulator
 
-    scalar = best_of(
-        lambda: _inverter_transient(SimulatorSettings(kernel="scalar")), repeats
-    )
-    vector = best_of(
-        lambda: _inverter_transient(SimulatorSettings(kernel="vector")), repeats
-    )
+    scalar = best_of(lambda: _inverter_transient(scalar_simulator), repeats)
+    vector = best_of(lambda: _inverter_transient(Simulator), repeats)
     return {
         "scalar_seconds": scalar,
         "vector_seconds": vector,
@@ -139,25 +143,25 @@ def bench_spice_transient(repeats: int) -> dict:
     }
 
 
-def _charlib_arc(settings):
-    from repro.charlib.spice_char import SpiceCharacterizer
+def _charlib_arc(characterizer):
     from repro.pdk import cryo5_technology
     from repro.pdk.catalog import make_aoi
 
-    char = SpiceCharacterizer(cryo5_technology(), 77.0, settings=settings)
+    char = characterizer(cryo5_technology(), 77.0)
     cell = make_aoi("221", 2)
     return char.measure_arc(cell, "A1", "Y", True, 2e-11, 2e-15)
 
 
 def bench_charlib_arc(repeats: int) -> dict:
-    from repro.spice import SimulatorSettings
+    from functools import partial
+
+    from repro.charlib.spice_char import SpiceCharacterizer
+    from tests.oracles.spice_ref import SerialCharacterizer
 
     scalar = best_of(
-        lambda: _charlib_arc(SimulatorSettings(kernel="scalar")), repeats
+        lambda: _charlib_arc(partial(SerialCharacterizer, scalar=True)), repeats
     )
-    vector = best_of(
-        lambda: _charlib_arc(SimulatorSettings(kernel="vector")), repeats
-    )
+    vector = best_of(lambda: _charlib_arc(SpiceCharacterizer), repeats)
     return {
         "scalar_seconds": scalar,
         "vector_seconds": vector,
@@ -166,30 +170,31 @@ def bench_charlib_arc(repeats: int) -> dict:
     }
 
 
-def _charlib_full_grid(settings):
-    from repro.charlib.spice_char import SpiceCharacterizer
+def _charlib_full_grid(characterizer):
     from repro.pdk import cryo5_technology
     from repro.pdk.catalog import make_inv
 
     tech = cryo5_technology()
-    char = SpiceCharacterizer(tech, 77.0, settings=settings)
+    char = characterizer(tech, 77.0)
     return char.characterize_cell(make_inv(1), tech.slew_grid, tech.load_grid)
 
 
 def bench_charlib_full_arc(repeats: int) -> dict:
     """Whole 7x7 NLDM grid: one trajectory batch vs the serial loop.
 
-    This is the workload the batch kernel exists for — all 98 arc
+    This is the workload the trajectory batch exists for — all 98 arc
     transients of the grid advance in lockstep through one batched
-    Newton solve per time step instead of 98 serial transients.  Both
-    paths are single-shot (the grid takes seconds; best-of-``repeats``
-    would triple the bench-smoke budget for noise filtering the gate's
-    tolerance already absorbs).
+    Newton solve per time step instead of 98 serial transients (the
+    serial side is the oracle loop).  Both paths are single-shot (the
+    grid takes seconds; best-of-``repeats`` would triple the
+    bench-smoke budget for noise filtering the gate's tolerance
+    already absorbs).
     """
-    from repro.spice import SimulatorSettings
+    from repro.charlib.spice_char import SpiceCharacterizer
+    from tests.oracles.spice_ref import SerialCharacterizer
 
-    batch = best_of(lambda: _charlib_full_grid(SimulatorSettings(kernel="batch")), 1)
-    vector = best_of(lambda: _charlib_full_grid(SimulatorSettings(kernel="vector")), 1)
+    batch = best_of(lambda: _charlib_full_grid(SpiceCharacterizer), 1)
+    vector = best_of(lambda: _charlib_full_grid(SerialCharacterizer), 1)
     return {
         "batch_seconds": batch,
         "vector_seconds": vector,
@@ -255,7 +260,6 @@ SECTIONS = {
 
 def run_benchmarks(repeats: int) -> dict:
     from repro import obs
-    from repro.spice import default_kernel
 
     results = {}
     with obs.Tracer() as tracer:
@@ -265,7 +269,6 @@ def run_benchmarks(repeats: int) -> dict:
     report = {
         "schema": "repro-bench-kernels/1",
         "repeats": repeats,
-        "default_kernel": default_kernel(),
         "results": results,
         "counters": {
             k: v for k, v in sorted(tracer.counters.items())
@@ -282,8 +285,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--assert-batch-default",
         action="store_true",
-        help="fail unless the default-configured runs used the trajectory-"
-             "batched kernel",
+        help="fail unless the trajectory batch ran (spice.batch.runs > 0)",
     )
     parser.add_argument(
         "--assert-speedup",
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="MIN",
         help="fail unless the whole-grid charlib_full_arc section shows at "
-             "least MINx batch-over-vector speedup",
+             "least MINx batch-over-serial speedup",
     )
     args = parser.parse_args(argv)
 
@@ -313,17 +315,14 @@ def main(argv=None) -> int:
     print(f"[bench] wrote {args.output}")
 
     if args.assert_batch_default:
-        if report["default_kernel"] != "batch":
-            print("[bench] FAIL: default kernel is not 'batch'", file=sys.stderr)
-            return 1
         if report["counters"].get("spice.batch.runs", 0) <= 0:
             print(
-                "[bench] FAIL: batch kernel path never executed "
+                "[bench] FAIL: trajectory batch never executed "
                 "(spice.batch.runs counter is 0)",
                 file=sys.stderr,
             )
             return 1
-        print("[bench] batch kernel default confirmed by obs counters")
+        print("[bench] trajectory batch confirmed by obs counters")
 
     if args.assert_speedup is not None:
         speedup = report["results"]["charlib_full_arc"]["speedup"]

@@ -186,7 +186,6 @@ def run_full_suite(repeats: int) -> dict:
     sta_report = run_sta_benchmarks(repeats)
     report["results"].update(sta_report["results"])
     report["counters"].update(sta_report["counters"])
-    report["default_engine"] = sta_report["default_engine"]
     return report
 
 

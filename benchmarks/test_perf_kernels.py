@@ -7,6 +7,8 @@ They track performance regressions rather than reproduce a figure.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,11 @@ from repro.pdk.catalog import make_aoi
 from repro.sat import Solver
 from repro.spice import Circuit, DC, Simulator, ramp
 from repro.synth import enumerate_cuts, rewrite
+
+# The scalar reference transient is the test oracle.
+REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +96,9 @@ def test_perf_spice_inverter_transient(benchmark):
 
 
 def test_perf_spice_inverter_transient_scalar(benchmark):
-    # Reference-path counterpart of the default (vector) measurement
-    # above; the trajectory runner (kernels.py) tracks the ratio.
-    from repro.spice import SimulatorSettings
+    # Scalar-oracle counterpart of the engine measurement above; the
+    # trajectory runner (kernels.py) tracks the ratio.
+    from tests.oracles.spice_ref import scalar_simulator
 
     tech = cryo5_technology()
 
@@ -102,8 +109,7 @@ def test_perf_spice_inverter_transient_scalar(benchmark):
         circuit.add_finfet("mp", "y", "a", "vdd", CryoFinFET(default_pfet_5nm(nfin=3)))
         circuit.add_finfet("mn", "y", "a", "0", CryoFinFET(default_nfet_5nm(nfin=2)))
         circuit.add_capacitor("cl", "y", "0", 2e-15)
-        settings = SimulatorSettings(kernel="scalar")
-        return Simulator(circuit, 10.0, settings=settings).transient(2e-10, 2e-12)
+        return scalar_simulator(circuit, 10.0).transient(2e-10, 2e-12)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.voltage("y")[-1] < 0.05

@@ -26,7 +26,6 @@ from ..resilience import faults
 from ..resilience.errors import MeasurementError
 from ..spice.batch import BatchedSimulator, TrajectorySpec
 from ..spice.engine import ConvergenceError, Simulator, TransientResult
-from ..spice.kernels import SimulatorSettings
 from ..spice.analysis import propagation_delay, supply_energy, transition_time
 from ..spice.netlist import Circuit
 from ..spice.waveforms import DC, ramp
@@ -43,10 +42,11 @@ def _instance_label(
 ) -> str:
     """Stable per-transient label for fault-injection scoping.
 
-    The serial loop and the trajectory batch both scope their fault
-    checks by this label, so each grid point consumes an identical
-    deterministic fault stream no matter how the grid is executed —
-    the property the fault-differential tests rely on.
+    :meth:`SpiceCharacterizer.measure_arc` and the trajectory batch
+    both scope their fault checks by this label, so each grid point
+    consumes an identical deterministic fault stream no matter how the
+    grid is executed — the property the fault-differential tests rely
+    on.
     """
     edge = "r" if input_rising else "f"
     return f"{cell.name}:{pin}->{output}:{edge}:{slew!r}:{load!r}"
@@ -64,18 +64,9 @@ class ArcMeasurement:
 class SpiceCharacterizer:
     """Characterizes cells by transistor-level transient simulation."""
 
-    def __init__(
-        self,
-        tech: Technology,
-        temperature_k: float,
-        settings: SimulatorSettings | None = None,
-    ):
+    def __init__(self, tech: Technology, temperature_k: float):
         self.tech = tech
         self.temperature_k = temperature_k
-        #: SPICE engine settings used for every arc transient; the
-        #: default picks the kernel from :envvar:`REPRO_KERNEL`
-        #: (``batch`` unless overridden — see docs/PERFORMANCE.md).
-        self.settings = settings if settings is not None else SimulatorSettings()
         # Sense/sensitization logic is shared with the analytic backend.
         self._analytic = AnalyticCharacterizer(tech, temperature_k)
 
@@ -165,20 +156,18 @@ class SpiceCharacterizer:
     ) -> ArcMeasurement:
         """Run one transient and extract delay/slew/energy.
 
-        Fault checks run under the grid point's instance scope so the
-        serial loop and the trajectory batch consume identical
-        per-instance fault streams.
+        Fault checks run under the grid point's instance scope, so a
+        point measured here consumes the same per-instance fault stream
+        it does inside the trajectory batch.
         """
         circuit, t_edge, t_stop, dt = self._arc_stimulus(
             cell, pin, output, input_rising, slew, load
         )
-        obs.count(f"charlib.spice.kernel.{self.settings.kernel}")
+        obs.count("charlib.spice.kernel.batch")
         with faults.instance_scope(
             _instance_label(cell, pin, output, input_rising, slew, load)
         ):
-            result = Simulator(
-                circuit, self.temperature_k, settings=self.settings
-            ).transient(t_stop, dt)
+            result = Simulator(circuit, self.temperature_k).transient(t_stop, dt)
             return self._extract(result, cell, pin, output, input_rising, t_edge)
 
     # ------------------------------------------------------------------
@@ -242,68 +231,14 @@ class SpiceCharacterizer:
         slews: tuple[float, ...],
         loads: tuple[float, ...],
     ) -> TimingArc:
-        """Measure one arc's full (slew x load) grid by transients.
+        """Measure one arc's (slew x load) grid as one trajectory batch.
 
-        Under the ``batch`` kernel the whole grid (every slew x load
-        point, both edge directions) is submitted as one trajectory
-        batch; the serial per-point loop below is the reference path
-        for the ``vector``/``scalar`` kernels.
-        """
-        if self.settings.kernel == "batch":
-            return self._characterize_arc_batched(cell, template_arc, slews, loads)
-        pin, out = template_arc.related_pin, template_arc.output_pin
-        rise_d, fall_d, rise_s, fall_s, rise_e, fall_e = ([] for _ in range(6))
-        for slew in slews:
-            rd_row, fd_row, rs_row, fs_row, re_row, fe_row = ([] for _ in range(6))
-            for load in loads:
-                rising_out = self._measure_for_output_dir(
-                    cell, pin, out, True, slew, load, template_arc.timing_sense
-                )
-                falling_out = self._measure_for_output_dir(
-                    cell, pin, out, False, slew, load, template_arc.timing_sense
-                )
-                rd_row.append(rising_out.delay)
-                rs_row.append(rising_out.output_slew)
-                re_row.append(max(rising_out.energy, 0.0))
-                fd_row.append(falling_out.delay)
-                fs_row.append(falling_out.output_slew)
-                fe_row.append(max(falling_out.energy, 0.0))
-            rise_d.append(tuple(rd_row))
-            fall_d.append(tuple(fd_row))
-            rise_s.append(tuple(rs_row))
-            fall_s.append(tuple(fs_row))
-            rise_e.append(tuple(re_row))
-            fall_e.append(tuple(fe_row))
-
-        def table(rows):
-            return NLDMTable(tuple(slews), tuple(loads), tuple(rows))
-
-        return TimingArc(
-            related_pin=pin,
-            output_pin=out,
-            timing_sense=template_arc.timing_sense,
-            cell_rise=table(rise_d),
-            cell_fall=table(fall_d),
-            rise_transition=table(rise_s),
-            fall_transition=table(fall_s),
-            rise_power=table(rise_e),
-            fall_power=table(fall_e),
-        )
-
-    def _characterize_arc_batched(
-        self,
-        cell: CellTemplate,
-        template_arc: TimingArc,
-        slews: tuple[float, ...],
-        loads: tuple[float, ...],
-    ) -> TimingArc:
-        """Measure one arc's grid as a single trajectory batch.
-
-        Builds the same 2 x len(slews) x len(loads) transients the
-        serial loop would run — in the same order, under the same
-        per-instance fault labels — and advances them in lockstep
-        through :class:`BatchedSimulator`.  The waveforms (and thus the
-        tables) are bit-identical to the serial vector path.
+        Builds 2 x len(slews) x len(loads) transients — per slew, per
+        load, the rising then the falling output edge — each under its
+        :func:`_instance_label` fault scope, and advances them in
+        lockstep through :class:`BatchedSimulator`.  The waveforms (and
+        thus the tables) are bit-identical to running each point through
+        :meth:`measure_arc` in that order.
         """
         pin, out = template_arc.related_pin, template_arc.output_pin
         sense = template_arc.timing_sense
@@ -329,68 +264,63 @@ class SpiceCharacterizer:
                         )
                     )
                     meta.append((t_edge, input_rising))
-        obs.count(f"charlib.spice.kernel.{self.settings.kernel}", len(specs))
+        obs.count("charlib.spice.kernel.batch", len(specs))
 
-        results = BatchedSimulator(
-            specs, self.temperature_k, settings=self.settings
-        ).transient_all()
+        results = BatchedSimulator(specs, self.temperature_k).transient_all()
         measurements: list[ArcMeasurement] = []
         for spec, result, (t_edge, input_rising) in zip(specs, results, meta):
             with faults.instance_scope(spec.label):
                 measurements.append(
                     self._extract(result, cell, pin, out, input_rising, t_edge)
                 )
+        return arc_from_measurements(template_arc, slews, loads, measurements)
 
-        rise_d, fall_d, rise_s, fall_s, rise_e, fall_e = ([] for _ in range(6))
-        it = iter(measurements)
-        for _slew in slews:
-            rd_row, fd_row, rs_row, fs_row, re_row, fe_row = ([] for _ in range(6))
-            for _load in loads:
-                rising_out = next(it)
-                falling_out = next(it)
-                rd_row.append(rising_out.delay)
-                rs_row.append(rising_out.output_slew)
-                re_row.append(max(rising_out.energy, 0.0))
-                fd_row.append(falling_out.delay)
-                fs_row.append(falling_out.output_slew)
-                fe_row.append(max(falling_out.energy, 0.0))
-            rise_d.append(tuple(rd_row))
-            fall_d.append(tuple(fd_row))
-            rise_s.append(tuple(rs_row))
-            fall_s.append(tuple(fs_row))
-            rise_e.append(tuple(re_row))
-            fall_e.append(tuple(fe_row))
 
-        def table(rows):
-            return NLDMTable(tuple(slews), tuple(loads), tuple(rows))
+def arc_from_measurements(
+    template_arc: TimingArc,
+    slews: tuple[float, ...],
+    loads: tuple[float, ...],
+    measurements: list[ArcMeasurement],
+) -> TimingArc:
+    """Assemble an arc's NLDM tables from its grid measurements.
 
-        return TimingArc(
-            related_pin=pin,
-            output_pin=out,
-            timing_sense=template_arc.timing_sense,
-            cell_rise=table(rise_d),
-            cell_fall=table(fall_d),
-            rise_transition=table(rise_s),
-            fall_transition=table(fall_s),
-            rise_power=table(rise_e),
-            fall_power=table(fall_e),
-        )
+    ``measurements`` runs per slew, per load, rising then falling
+    output edge — the order :meth:`SpiceCharacterizer._characterize_arc`
+    submits its transients in.  Negative supply energies (charge
+    returned to the rail) are clipped to zero.
+    """
+    pin, out = template_arc.related_pin, template_arc.output_pin
+    rise_d, fall_d, rise_s, fall_s, rise_e, fall_e = ([] for _ in range(6))
+    it = iter(measurements)
+    for _slew in slews:
+        rd_row, fd_row, rs_row, fs_row, re_row, fe_row = ([] for _ in range(6))
+        for _load in loads:
+            rising_out = next(it)
+            falling_out = next(it)
+            rd_row.append(rising_out.delay)
+            rs_row.append(rising_out.output_slew)
+            re_row.append(max(rising_out.energy, 0.0))
+            fd_row.append(falling_out.delay)
+            fs_row.append(falling_out.output_slew)
+            fe_row.append(max(falling_out.energy, 0.0))
+        rise_d.append(tuple(rd_row))
+        fall_d.append(tuple(fd_row))
+        rise_s.append(tuple(rs_row))
+        fall_s.append(tuple(fs_row))
+        rise_e.append(tuple(re_row))
+        fall_e.append(tuple(fe_row))
 
-    def _measure_for_output_dir(
-        self,
-        cell: CellTemplate,
-        pin: str,
-        out: str,
-        output_rising: bool,
-        slew: float,
-        load: float,
-        sense: str,
-    ) -> ArcMeasurement:
-        """Measure with the input direction that produces the requested
-        output direction (by the arc's unateness; non-unate arcs use
-        the positive path)."""
-        if sense == "negative_unate":
-            input_rising = not output_rising
-        else:
-            input_rising = output_rising
-        return self.measure_arc(cell, pin, out, input_rising, slew, load)
+    def table(rows):
+        return NLDMTable(tuple(slews), tuple(loads), tuple(rows))
+
+    return TimingArc(
+        related_pin=pin,
+        output_pin=out,
+        timing_sense=template_arc.timing_sense,
+        cell_rise=table(rise_d),
+        cell_fall=table(fall_d),
+        rise_transition=table(rise_s),
+        fall_transition=table(fall_s),
+        rise_power=table(rise_e),
+        fall_power=table(fall_e),
+    )

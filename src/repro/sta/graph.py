@@ -1,10 +1,10 @@
 """Array-based levelized timing graph with incremental retiming.
 
-The legacy engine in :mod:`repro.sta.timing` walks python dicts gate by
-gate and re-runs a *full* netlist propagation for every query — the
-stated blocker for EPFL-scale mapping sweeps, where sizing and cost
-evaluation issue thousands of timing queries against nearly identical
-netlists.  :class:`TimingGraph` compiles a
+A per-gate engine that walks python dicts gate by gate re-runs a
+*full* netlist propagation for every query — the blocker for
+EPFL-scale mapping sweeps, where sizing and cost evaluation issue
+thousands of timing queries against nearly identical netlists.
+:class:`TimingGraph` compiles a
 :class:`~repro.mapping.netlist.MappedNetlist` + characterized
 :class:`~repro.charlib.nldm.Library` **once** into flat NumPy state:
 
@@ -25,11 +25,9 @@ a ``retime`` is bit-identical to an analysis from scratch — the
 invariant ``tests/test_sta_graph.py`` checks over randomized edit
 sequences.
 
-Every elementwise operation replays the legacy engine's arithmetic in
-the same order, so graph and legacy reports agree bit-for-bit; the
-engine is selected per analyzer via :envvar:`REPRO_STA`
-(``graph`` by default, ``legacy`` kept as the differential reference,
-mirroring ``REPRO_KERNEL`` in :mod:`repro.spice.kernels`).
+Every elementwise operation replays the per-gate engine's arithmetic
+in the same order, so reports agree bit-for-bit with that engine, kept
+as the test oracle ``tests/oracles/sta_ref.py``.
 """
 
 from __future__ import annotations

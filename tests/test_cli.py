@@ -446,47 +446,11 @@ class TestCrashSafety:
         assert json.loads(threaded.read_text()) == json.loads(isolated.read_text())
 
 
-class TestKernelFlag:
-    def test_parser_accepts_kernel_choices(self):
-        for kernel in ("batch", "vector", "scalar"):
-            args = build_parser().parse_args(["evaluate", "ctrl", "--kernel", kernel])
-            assert args.kernel == kernel
+class TestEngineFlags:
+    @pytest.mark.parametrize("argv", [
+        ["characterize"], ["synthesize", "ctrl"], ["evaluate", "ctrl"], ["serve"],
+    ])
+    def test_no_subcommand_accepts_kernel(self, argv, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["evaluate", "ctrl", "--kernel", "simd"])
-
-    def test_kernel_choice_scopes_environment(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with _kernel_choice(argparse.Namespace(kernel="scalar")):
-            assert os.environ["REPRO_KERNEL"] == "scalar"
-        assert "REPRO_KERNEL" not in os.environ
-
-    def test_kernel_choice_restores_previous_value(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.setenv("REPRO_KERNEL", "vector")
-        with _kernel_choice(argparse.Namespace(kernel="scalar")):
-            assert os.environ["REPRO_KERNEL"] == "scalar"
-        assert os.environ["REPRO_KERNEL"] == "vector"
-
-    def test_no_flag_leaves_environment_alone(self, monkeypatch):
-        import argparse
-        import os
-
-        from repro.cli import _kernel_choice
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with _kernel_choice(argparse.Namespace()):
-            assert "REPRO_KERNEL" not in os.environ
-
-    def test_characterize_runs_with_scalar_kernel(self, tmp_path):
-        out = tmp_path / "lib.lib"
-        assert main(["characterize", "-t", "10", "-o", str(out), "--kernel", "scalar"]) == 0
-        assert out.read_text().startswith("library")
+            build_parser().parse_args([*argv, "--kernel", "batch"])
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err

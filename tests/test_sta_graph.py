@@ -1,8 +1,8 @@
-"""Differential suite: graph STA ≡ legacy STA.
+"""Differential suite: graph STA ≡ legacy per-gate STA oracle.
 
 The levelized array engine (``repro/sta/graph.py``) is designed to
-replay the legacy per-gate propagation arithmetic operation for
-operation, so the contract checked here is *bit-identity* (stronger
+replay the per-gate propagation arithmetic of the legacy oracle
+(``tests/oracles/sta_ref.py``) operation for operation, so the contract checked here is *bit-identity* (stronger
 than the ≤ 1e-12 requirement): identical arrivals, slews, loads,
 critical path, and PO arrivals on
 
@@ -10,7 +10,7 @@ critical path, and PO arrivals on
 * degraded libraries (analytic-fallback NLDM tables),
 * randomized incremental-edit sequences, where ``retime`` after each
   cell swap must equal both a from-scratch graph analysis and the
-  legacy engine on the swapped netlist.
+  legacy oracle on the swapped netlist.
 """
 
 import random
@@ -28,12 +28,9 @@ from repro.mapping.sizing import _build_families, _family_key, size_gates
 from repro.mapping.cost import CostPolicy
 from repro.sta.graph import TimingGraph
 from repro.sta.interp import PackedTables, bilinear_many
-from repro.sta.timing import (
-    SignoffConfig,
-    StaticTimingAnalyzer,
-    TimingReport,
-    default_engine,
-)
+from repro.sta.timing import SignoffConfig, StaticTimingAnalyzer, TimingReport
+
+from .oracles.sta_ref import LegacyTimingAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -59,33 +56,27 @@ def assert_reports_identical(a: TimingReport, b: TimingReport) -> None:
 
 
 def both_engines(netlist, library, config=None):
-    legacy = StaticTimingAnalyzer(
-        netlist, library, config, engine="legacy"
-    ).analyze()
-    graph = StaticTimingAnalyzer(
-        netlist, library, config, engine="graph"
-    ).analyze()
+    legacy = LegacyTimingAnalyzer(netlist, library, config).analyze()
+    graph = StaticTimingAnalyzer(netlist, library, config).analyze()
     return legacy, graph
 
 
 class TestEngineSelection:
-    def test_default_is_graph(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STA", raising=False)
-        assert default_engine() == "graph"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA", "legacy")
-        assert default_engine() == "legacy"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STA", "quantum")
-        with pytest.raises(ValueError, match="REPRO_STA"):
-            default_engine()
+    def test_default_is_graph(self, library):
+        """The analyzer compiles one timing graph and retimes it."""
+        netlist = map_to_gates(build_circuit("ctrl", "small"), library)
+        analyzer = StaticTimingAnalyzer(netlist, library)
+        with obs.Tracer() as tracer:
+            analyzer.analyze()
+            analyzer.net_loads()
+            analyzer.analyze()
+        assert isinstance(analyzer.graph, TimingGraph)
+        assert tracer.counters.get("sta.graph_builds") == 1
 
     def test_invalid_engine_argument_rejected(self, library):
         netlist = map_to_gates(build_circuit("ctrl", "small"), library)
-        with pytest.raises(ValueError, match="engine"):
-            StaticTimingAnalyzer(netlist, library, engine="quantum")
+        with pytest.raises(TypeError, match="engine"):
+            StaticTimingAnalyzer(netlist, library, engine="graph")
 
 
 class TestInterpKernel:
@@ -174,8 +165,8 @@ class TestFullSuiteDifferential:
 
     def test_net_loads_match(self, library):
         netlist = map_to_gates(build_circuit("priority", "small"), library)
-        legacy = StaticTimingAnalyzer(netlist, library, engine="legacy")
-        graph = StaticTimingAnalyzer(netlist, library, engine="graph")
+        legacy = LegacyTimingAnalyzer(netlist, library)
+        graph = StaticTimingAnalyzer(netlist, library)
         assert legacy.net_loads() == graph.net_loads()
         assert list(legacy.net_loads()) == list(graph.net_loads())
 
@@ -237,9 +228,7 @@ class TestIncrementalRetime:
                               g.output_pin) for g in gates],
             )
             scratch = TimingGraph(swapped, library).analyze()
-            legacy = StaticTimingAnalyzer(
-                swapped, library, engine="legacy"
-            ).analyze()
+            legacy = LegacyTimingAnalyzer(swapped, library).analyze()
             assert_reports_identical(incremental, scratch)
             assert_reports_identical(incremental, legacy)
 
@@ -268,7 +257,7 @@ class TestIncrementalRetime:
 
     def test_sync_absorbs_external_swaps(self, library):
         netlist = map_to_gates(build_circuit("div", "small"), library)
-        analyzer = StaticTimingAnalyzer(netlist, library, engine="graph")
+        analyzer = StaticTimingAnalyzer(netlist, library)
         first = analyzer.analyze()
         # Swap cells in place (what sizing does) and re-analyze.
         for gi, new_cell, gates in _swap_sequence(netlist, library, 9, 10):
@@ -278,9 +267,7 @@ class TestIncrementalRetime:
                 netlist.gates[gi].output_net, netlist.gates[gi].output_pin,
             )
         second = analyzer.analyze()
-        legacy = StaticTimingAnalyzer(
-            netlist, library, engine="legacy"
-        ).analyze()
+        legacy = LegacyTimingAnalyzer(netlist, library).analyze()
         assert_reports_identical(second, legacy)
 
     def test_sync_detects_structural_change(self, library):
@@ -311,23 +298,21 @@ class TestIncrementalRetime:
 
 
 class TestSizingIntegration:
-    def test_sizing_issues_incremental_retimes(self, library):
+    def test_sizing_issues_incremental_retimes(self, library, monkeypatch):
         netlist = map_to_gates(build_circuit("int2float", "small"), library)
         policy = CostPolicy("d_p_a", ("delay", "power", "area"), epsilon=0.05)
         with obs.Tracer() as tracer:
             sized, report = size_gates(netlist, library, policy)
         assert report.total_changes > 0
         assert tracer.counters.get("sta.incremental_hits", 0) >= 1
-        # Legacy sizing reaches the same decisions (timing is
-        # bit-identical, so candidate costs are too).
-        import os
-
-        sized_legacy, report_legacy = None, None
-        os.environ["REPRO_STA"] = "legacy"
-        try:
+        # Sizing on the legacy oracle reaches the same decisions
+        # (timing is bit-identical, so candidate costs are too).
+        monkeypatch.setattr(
+            "repro.sta.timing.StaticTimingAnalyzer", LegacyTimingAnalyzer
+        )
+        with obs.Tracer() as tracer_legacy:
             sized_legacy, report_legacy = size_gates(netlist, library, policy)
-        finally:
-            os.environ.pop("REPRO_STA", None)
+        assert "sta.graph_builds" not in tracer_legacy.counters
         assert [g.cell for g in sized.gates] == [g.cell for g in sized_legacy.gates]
         assert report.total_changes == report_legacy.total_changes
 
