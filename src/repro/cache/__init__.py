@@ -1,58 +1,23 @@
-"""The shared artifact-cache tiers (``repro.cache``).
+"""Artifact-cache entry format and maintenance (``repro.cache``).
 
-:class:`repro.core.artifacts.ArtifactCache` composes three tiers —
-memory LRU, local disk, and (this package) an optional **remote blob
-server** shared by every characterization host — all speaking one
-sha256-framed entry format (:mod:`repro.cache.framing`), each
-verifying independently so corruption anywhere degrades to a cache
-miss, never to a wrong artifact.
+:class:`repro.core.artifacts.ArtifactCache` stores its disk-tier
+entries in one sha256-framed format, verified on every read so
+corruption degrades to a cache miss, never to a wrong artifact.
 
 * :mod:`repro.cache.framing` — the self-verifying entry frame;
-* :mod:`repro.cache.blobserver` — the ``repro cache-serve`` HTTP blob
-  store (verify-on-upload, verify-on-read, LRU-bounded, scrubbable);
-* :mod:`repro.cache.remote` — the never-fail client: timeouts,
-  bounded full-jitter retries, a circuit breaker into local-only
-  degraded mode, quarantine + refetch on corruption, write-behind
-  upload on recovery;
 * :mod:`repro.cache.scrub` — ``repro cache scrub`` integrity sweeps
-  over the disk tier and/or a remote server.
+  over the disk tier.
 
-Layering: below ``core`` (which wires the remote tier in behind
-``REPRO_CACHE_REMOTE`` / ``--cache-remote``), above ``resilience``,
-``obs``, and ``server.breaker``.  See ``docs/ROBUSTNESS.md`` ("Remote
-cache tier") for the failure matrix.
+Layering: below ``core`` (which imports :mod:`repro.cache.framing`),
+above ``resilience`` and ``obs``.
 """
 
-from .blobserver import BlobCacheServer, BlobStore, make_blob_server
 from .framing import decode_entry, encode_entry, verify_frame
-from .scrub import scrub_disk, scrub_remote
-
-#: Lazy (PEP 562): ``remote`` reuses :class:`repro.server.breaker.
-#: CircuitBreaker`, and eagerly importing the server stack here would
-#: make ``core`` (which imports :mod:`repro.cache.framing`) depend on
-#: everything above it.  ``from repro.cache import RemoteCacheClient``
-#: still works; the cost moves to first use.
-_LAZY = {"RemoteCacheClient": "remote", "RemoteCacheError": "remote"}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
+from .scrub import scrub_disk
 
 __all__ = [
-    "BlobCacheServer",
-    "BlobStore",
-    "make_blob_server",
     "decode_entry",
     "encode_entry",
     "verify_frame",
-    "RemoteCacheClient",
-    "RemoteCacheError",
     "scrub_disk",
-    "scrub_remote",
 ]

@@ -1,17 +1,13 @@
-"""The sha256-framed on-wire/on-disk entry format shared by every
-artifact-cache tier.
+"""The sha256-framed entry format of the artifact cache's disk tier.
 
-A cache entry is stored — on the local disk tier, on a remote blob
-server, and in flight between them — as one self-verifying frame::
+A disk cache entry is stored as one self-verifying frame::
 
     MAGIC (7 bytes) | sha256(payload) (32 bytes) | payload (pickle)
 
-The frame is what makes integrity *checkable at every boundary*: the
-disk tier verifies on read, the blob server verifies on upload and on
-scrub, and :class:`repro.cache.remote.RemoteCacheClient` verifies every
-fetched blob before it is allowed anywhere near ``pickle.loads`` — a
-lying or bit-rotten server degrades to a cache miss, never to corrupt
-artifacts (see ``docs/ROBUSTNESS.md``).
+The frame makes integrity *checkable before unpickling*: the disk
+tier verifies on every read and ``repro cache scrub`` re-verifies
+whole directories, so a truncated or bit-rotten entry degrades to a
+cache miss, never to corrupt artifacts (see ``docs/ROBUSTNESS.md``).
 
 This module is an import leaf (only :mod:`repro.resilience.errors`
 below it), so the ``core`` cache, the ``cache`` package, and the CLI
@@ -52,9 +48,8 @@ def verify_frame(data: bytes) -> None:
     """Check a frame's header and checksum *without* unpickling.
 
     Raises :class:`CacheCorruptionError` on any defect.  This is the
-    whole verification a blob server (which must never unpickle
-    payloads it merely stores) or a fetching client (which must not
-    unpickle unverified bytes) needs.
+    whole verification a scrub (which must never unpickle the entries
+    it merely checks) needs.
     """
     if len(data) < HEADER_LEN:
         raise CacheCorruptionError("truncated cache entry")

@@ -17,23 +17,18 @@ Layers:
 * :class:`ArtifactCache` — a thread-safe LRU memory store with an
   optional pickle-backed disk tier (``--cache-dir`` on the CLI, or
   ``REPRO_CACHE_DIR`` in the environment, conventionally
-  ``~/.cache/repro``) and an optional **remote blob-server tier**
-  (``--cache-remote URL`` / ``REPRO_CACHE_REMOTE``) shared across
-  hosts — served by ``repro cache-serve`` and reached through the
-  never-fail :class:`repro.cache.remote.RemoteCacheClient`, so a slow,
-  dead, or lying cache server degrades every lookup to an ordinary
-  local miss (``docs/ROBUSTNESS.md``, "Remote cache tier");
+  ``~/.cache/repro``);
 * a process-global default cache (:func:`default_cache`,
   :func:`set_default_cache`, :func:`using_cache`) that
   :class:`repro.core.context.DesignContext` picks up when none is
   given explicitly.
 
-All tiers share one sha256-framed entry format
-(:mod:`repro.cache.framing`); every boundary re-verifies it.
+Disk entries use the sha256-framed entry format of
+:mod:`repro.cache.framing`; every read re-verifies it.
 
 Hits and misses are reported to :mod:`repro.obs` as the ``cache.hit``
 / ``cache.miss`` counters (plus per-kind ``cache.hit.<kind>``
-breakdowns, and ``cache.remote.*`` for the remote tier), so a
+breakdowns), so a
 ``--profile`` run shows exactly which stages were skipped; see
 ``docs/ARCHITECTURE.md`` for the key scheme.
 """
@@ -67,35 +62,6 @@ def _env_float(name: str) -> float | None:
         return float(raw)
     except ValueError:
         return None
-
-
-def _remote_client(remote: Any):
-    """Normalize the ``remote`` argument into a client (or ``None``).
-
-    Accepts an existing :class:`repro.cache.remote.RemoteCacheClient`
-    (anything client-shaped), a ``host:port``/URL string, or ``None``
-    meaning "consult :envvar:`REPRO_CACHE_REMOTE`" — which is what
-    lets isolated worker subprocesses (which rebuild their cache from
-    just a directory) join the same remote tier as their parent.  A
-    malformed URL disables the tier with a counter rather than failing
-    the run: the remote tier is an accelerator, never a dependency.
-    """
-    if remote is None:
-        remote = os.environ.get("REPRO_CACHE_REMOTE") or None
-    if remote is None or remote is False:
-        return None
-    if isinstance(remote, str):
-        text = remote.strip()
-        if not text or text.lower() in ("off", "none", "0", "disabled"):
-            return None
-        from ..cache.remote import RemoteCacheClient
-
-        try:
-            return RemoteCacheClient(text)
-        except ValueError:
-            obs.count("cache.remote.bad_url")
-            return None
-    return remote
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +125,7 @@ def cache_key(kind: str, *parts: Any) -> str:
 # The cache
 # ----------------------------------------------------------------------
 class ArtifactCache:
-    """Thread-safe content-addressed store with disk + remote tiers.
+    """Thread-safe content-addressed store with an optional disk tier.
 
     The memory tier is a bounded LRU keyed by full cache keys.  When
     ``cache_dir`` is set, values whose ``put``/``get_or_compute`` call
@@ -169,17 +135,6 @@ class ArtifactCache:
     never crash a lookup: the file is quarantined (renamed to
     ``*.corrupt``), the ``cache.corrupt`` counter fires, and the
     lookup degrades to a miss.
-
-    When ``remote`` is configured (a URL, a
-    :class:`repro.cache.remote.RemoteCacheClient`, or ambiently via
-    :envvar:`REPRO_CACHE_REMOTE`; ``remote=False`` opts out), lookups
-    that miss both local tiers consult the shared blob server, and
-    persisted puts are uploaded write-through (write-behind while the
-    server is unreachable).  A remote hit backfills the local tiers —
-    the verified frame bytes are written to the disk tier as-is — so
-    each artifact crosses the network at most once per host.  Every
-    remote failure mode (timeout, partition, corruption, HTTP garbage)
-    is absorbed by the client and lands here as a plain miss.
 
     The disk tier is bounded: ``max_disk_mb`` (default from
     ``REPRO_CACHE_MAX_MB``; unset = unbounded) caps the total size of
@@ -198,10 +153,8 @@ class ArtifactCache:
         max_memory_entries: int = 256,
         max_disk_mb: float | None = None,
         max_corrupt_entries: int | None = None,
-        remote: Any = None,
     ):
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
-        self.remote = _remote_client(remote)
         self.max_memory_entries = max_memory_entries
         self.max_disk_mb = (
             _env_float("REPRO_CACHE_MAX_MB") if max_disk_mb is None else max_disk_mb
@@ -217,7 +170,6 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.remote_hits = 0
         self.corrupt = 0
         self.evicted = 0
         self.corrupt_evicted = 0
@@ -231,7 +183,7 @@ class ArtifactCache:
 
     @staticmethod
     def _key_digest(key: str) -> str:
-        """Filesystem/blob-server name for a key (all tiers agree)."""
+        """Filesystem name for a key."""
         return hashlib.sha256(key.encode()).hexdigest()[:40]
 
     def _disk_path(self, key: str) -> Path:
@@ -317,7 +269,7 @@ class ArtifactCache:
                     # Truncated write, bit rot, stale format, or an
                     # unpicklable payload: quarantine and miss.
                     self._quarantine(path)
-                    return self._remote_lookup(key)
+                    return _MISSING
                 # Refresh mtime so LRU disk eviction sees this entry as hot.
                 with contextlib.suppress(OSError):
                     os.utime(path)
@@ -325,44 +277,7 @@ class ArtifactCache:
                     self._remember(key, value)
                     self.disk_hits += 1
                 return value
-        if persist:
-            return self._remote_lookup(key)
         return _MISSING
-
-    def _remote_lookup(self, key: str) -> Any:
-        """Third tier: fetch a verified frame from the blob server.
-
-        The client has already absorbed every transport/integrity
-        failure into ``None``; decode is belt-and-braces (the frame
-        was verified in flight) but still guarded — an unpicklable
-        payload degrades to a miss like any other corruption.  A hit
-        backfills memory and, byte-for-byte, the disk tier.
-        """
-        if self.remote is None:
-            return _MISSING
-        data = self.remote.get(self._key_digest(key))
-        if data is None:
-            return _MISSING
-        try:
-            value = _decode_entry(data)
-        except CacheCorruptionError:
-            obs.count("cache.remote.undecodable")
-            return _MISSING
-        with self._lock:
-            self._remember(key, value)
-            self.remote_hits += 1
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            try:
-                tmp.write_bytes(data)
-                os.replace(tmp, path)
-            except OSError:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-            else:
-                self._enforce_disk_cap(keep=path)
-        return value
 
     # -- public API -----------------------------------------------------
     def get(self, key: str, default: Any = None) -> Any:
@@ -375,31 +290,23 @@ class ArtifactCache:
     def put(self, key: str, value: Any, persist: bool = True) -> None:
         with self._lock:
             self._remember(key, value)
-        if not persist or (self.cache_dir is None and self.remote is None):
+        if not persist or self.cache_dir is None:
             return
         try:
             frame = _encode_entry(value)
         except Exception:
             return  # unpicklable value stays memory-only
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            try:
-                data = faults.corrupt_bytes("cache.disk", frame)
-                tmp.write_bytes(data)
-                os.replace(tmp, path)
-            except Exception:
-                with contextlib.suppress(OSError):
-                    tmp.unlink()
-            else:
-                self._enforce_disk_cap(keep=path)
-        if self.remote is not None:
-            # Write-through with the *uncorrupted* frame (the
-            # ``cache.disk`` fault site models local-disk truncation,
-            # not the network; the server would reject a bad frame
-            # anyway).  The client absorbs every failure into a
-            # write-behind stash — this call cannot raise.
-            self.remote.put(self._key_digest(key), frame)
+        path = self._disk_path(key)
+        tmp = path.with_suffix(f".tmp{os.getpid()}")
+        try:
+            data = faults.corrupt_bytes("cache.disk", frame)
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except Exception:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        else:
+            self._enforce_disk_cap(keep=path)
 
     def get_or_compute(
         self,
@@ -468,26 +375,20 @@ class ArtifactCache:
                     with contextlib.suppress(OSError):
                         path.unlink()
 
-    def stats(self) -> dict[str, Any]:
+    def stats(self) -> dict[str, int]:
         with self._lock:
-            out: dict[str, Any] = {
+            return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "disk_hits": self.disk_hits,
-                "remote_hits": self.remote_hits,
                 "corrupt": self.corrupt,
                 "evicted": self.evicted,
                 "corrupt_evicted": self.corrupt_evicted,
                 "memory_entries": len(self._memory),
             }
-        if self.remote is not None:
-            out["remote"] = self.remote.stats()
-        return out
 
     def __repr__(self) -> str:
         tier = f", dir={str(self.cache_dir)!r}" if self.cache_dir else ""
-        if self.remote is not None:
-            tier += f", remote={getattr(self.remote, 'url', '?')!r}"
         return f"ArtifactCache(entries={len(self._memory)}{tier})"
 
 

@@ -64,29 +64,13 @@ class DesignContext:
         signoff: SignoffConfig | None = None,
         seed: int = 0,
         cache: ArtifactCache | None = None,
-        vdd: float | None = None,
     ) -> "DesignContext":
         """Characterize (or fetch from cache) the default technology
-        at a temperature corner and wrap it.
-
-        ``vdd`` overrides the technology's nominal supply — the knob a
-        characterization-service job exposes (a ``(temperature, vdd)``
-        pair names a corner); ``None`` keeps the default and the
-        per-process library memo.
-        """
-        from ..charlib.engine import characterize_library, default_library
+        at a temperature corner and wrap it."""
+        from ..charlib.engine import default_library
 
         cache = cache or default_cache()
-        if vdd is None:
-            library = default_library(temperature, cache=cache)
-        else:
-            from dataclasses import replace as _replace
-
-            from ..pdk.technology import cryo5_technology
-
-            library = characterize_library(
-                _replace(cryo5_technology(), vdd=vdd), temperature, cache=cache
-            )
+        library = default_library(temperature, cache=cache)
         return cls.from_library(
             library,
             signoff=signoff,

@@ -31,7 +31,6 @@ power analysis is set by the slowest variant of the same circuit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .. import obs
@@ -147,13 +146,6 @@ class CryoSynthesisFlow:
     ``context`` — the latter is what lets scenarios, circuits, and
     worker threads share the characterized library, the match-table
     view, and every cached stage output.
-
-    ``deadline_at`` (absolute ``time.monotonic``) bounds every stage
-    this flow runs: before starting a stage the runner checks the
-    remaining budget and fails with
-    :class:`repro.resilience.errors.StageTimeoutError` instead of
-    starting work it cannot afford.  The characterization service uses
-    this to propagate a per-job deadline into every scenario's flow.
     """
 
     def __init__(
@@ -166,7 +158,6 @@ class CryoSynthesisFlow:
         skip_stage2: bool = False,
         context: DesignContext | None = None,
         journal: RunJournal | None = None,
-        deadline_at: float | None = None,
     ):
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
@@ -185,7 +176,6 @@ class CryoSynthesisFlow:
         self.signoff = context.signoff
         self.skip_stage2 = skip_stage2
         self.journal = journal
-        self.deadline_at = deadline_at
 
     # ------------------------------------------------------------------
     @property
@@ -305,8 +295,7 @@ class CryoSynthesisFlow:
             stages.append(self._stage2())
         stages.append(self._select())
         runner = FlowRunner(
-            self.context, stages, span_prefix="flow", journal=self.journal,
-            deadline_at=self.deadline_at,
+            self.context, stages, span_prefix="flow", journal=self.journal
         )
         return runner.run(aig=aig)["optimized"][0]
 
@@ -314,7 +303,7 @@ class CryoSynthesisFlow:
         """Stage 3: technology mapping under the scenario's policy."""
         runner = FlowRunner(
             self.context, [self._map_stage()], span_prefix="flow",
-            journal=self.journal, deadline_at=self.deadline_at,
+            journal=self.journal,
         )
         return runner.run(optimized=(aig, ()))["netlist"]
 
@@ -324,7 +313,7 @@ class CryoSynthesisFlow:
         with obs.span("flow.run", circuit=aig.name, scenario=self.scenario):
             runner = FlowRunner(
                 self.context, self.synthesis_stages(), span_prefix="flow",
-                journal=self.journal, deadline_at=self.deadline_at,
+                journal=self.journal,
             )
             artifacts = runner.run(aig=aig)
         optimized, trace = artifacts["optimized"]
@@ -371,21 +360,15 @@ def _scenario_task(payload: tuple) -> FlowResult:
     survive pickling of their thread locks.  Signoff stays in the
     parent — the fair clock period couples the scenarios.
     """
-    aig, library, scenario, use_choices, signoff, seed, cache_dir, budget_s = payload
+    aig, library, scenario, use_choices, signoff, seed, cache_dir = payload
     context = DesignContext.from_library(
         library,
         signoff=signoff,
         seed=seed,
         cache=ArtifactCache(cache_dir=cache_dir),
     )
-    # The parent ships *remaining seconds* rather than an absolute
-    # stamp: the deadline restarts at worker entry, so spawn latency is
-    # never charged against the job's synthesis budget.
     flow = CryoSynthesisFlow(
-        scenario=scenario,
-        use_choices=use_choices,
-        context=context,
-        deadline_at=None if budget_s is None else time.monotonic() + budget_s,
+        scenario=scenario, use_choices=use_choices, context=context
     )
     with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
         return flow.run(aig)
@@ -402,7 +385,6 @@ def run_scenarios(
     jobs: int = 1,
     isolate: str = "thread",
     journal: RunJournal | None = None,
-    deadline_s: float | None = None,
 ) -> dict[str, FlowResult]:
     """Run all scenarios on one circuit with the fair-power rule.
 
@@ -427,12 +409,7 @@ def run_scenarios(
     *replayed* without recomputation, which is what makes a
     ``kill -9``'d sweep resumable to byte-identical output.  Degraded
     or guard-flagged results are never cached or journaled.
-
-    ``deadline_s`` bounds the whole call: one shared absolute deadline
-    covers every scenario's flow (the stages check it before starting
-    work), so a service job's budget is spent once, not per scenario.
     """
-    deadline_at = None if deadline_s is None else time.monotonic() + deadline_s
     if context is None:
         if library is None:
             raise ValueError("provide a characterized library or a DesignContext")
@@ -471,7 +448,6 @@ def run_scenarios(
             use_choices=use_choices,
             context=context,
             journal=journal if isolate == "thread" else None,
-            deadline_at=deadline_at,
         )
         for scenario in fresh
     }
@@ -488,9 +464,6 @@ def run_scenarios(
                     context.signoff,
                     context.seed,
                     str(cache_dir) if cache_dir is not None else None,
-                    None
-                    if deadline_at is None
-                    else max(0.0, deadline_at - time.monotonic()),
                 )
                 for scenario in fresh
             ]

@@ -22,9 +22,7 @@ whole synthesis tree.  This module closes that gap:
   the run ledger (:mod:`repro.obs.ledger`) persists.
 
 Everything here is transport-agnostic plain data: snapshots are
-JSON-safe dicts, so they pickle across a spawn boundary and could
-equally stream over a socket (the characterization-as-a-service
-direction in ROADMAP item 1).
+JSON-safe dicts, so they pickle across a spawn boundary.
 """
 
 from __future__ import annotations

@@ -155,8 +155,8 @@ class Tracer:
     """
 
     #: Per-histogram sample bound.  A batch run never comes close, but
-    #: a long-running ``repro serve`` process observes a latency sample
-    #: per job forever — unbounded lists would be a slow memory leak.
+    #: a tracer left installed in a long-lived embedding process keeps
+    #: observing samples — unbounded lists would be a slow memory leak.
     #: When a histogram reaches the bound its oldest half is dropped,
     #: so percentiles always describe the most recent window.
     MAX_HISTOGRAM_SAMPLES = 8192

@@ -32,7 +32,6 @@ from .errors import (
     DEGRADED,
     PERMANENT,
     TRANSIENT,
-    AdmissionError,
     CacheCorruptionError,
     CalibrationError,
     DegradedError,
@@ -45,10 +44,7 @@ from .errors import (
     MeasurementError,
     ParallelExecutionError,
     PermanentError,
-    QueueSaturatedError,
-    QuotaExceededError,
     ReproError,
-    ServiceDrainingError,
     StageTimeoutError,
     TimeoutExceeded,
     TransientError,
@@ -59,7 +55,7 @@ from .errors import (
     is_transient,
 )
 from .faults import ENV_VAR, FaultPlan, FaultSpec, injecting, install, parse_plan
-from .isolation import process_map, run_isolated, task_heartbeat
+from .isolation import process_map, task_heartbeat
 from .journal import (
     RunJournal,
     acquire_writer_lock,
@@ -77,7 +73,6 @@ __all__ = [
     "TransientError",
     "PermanentError",
     "DegradedError",
-    "AdmissionError",
     "CacheCorruptionError",
     "CalibrationError",
     "GuardViolation",
@@ -88,9 +83,6 @@ __all__ = [
     "JournalMismatchError",
     "MeasurementError",
     "ParallelExecutionError",
-    "QueueSaturatedError",
-    "QuotaExceededError",
-    "ServiceDrainingError",
     "StageTimeoutError",
     "TimeoutExceeded",
     "WorkerCrashError",
@@ -107,7 +99,6 @@ __all__ = [
     "install",
     "parse_plan",
     "process_map",
-    "run_isolated",
     "task_heartbeat",
     "RunJournal",
     "acquire_writer_lock",

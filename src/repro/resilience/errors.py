@@ -181,44 +181,6 @@ class JournalLockedError(JournalError):
     while the owner lives would corrupt the journal."""
 
 
-# ----------------------------------------------------------------------
-# Service admission errors (repro.server)
-# ----------------------------------------------------------------------
-class AdmissionError(TransientError):
-    """A characterization-service submission was not admitted.
-
-    Load shedding, not failure: the service is protecting itself and
-    the caller should retry after ``retry_after_s`` seconds (surfaced
-    as an HTTP ``Retry-After`` header by :mod:`repro.server.http`).
-    Transient by definition — capacity comes back.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *args,
-        site: str | None = None,
-        retry_after_s: float | None = None,
-    ):
-        super().__init__(message, *args, site=site)
-        self.retry_after_s = retry_after_s
-
-
-class QueueSaturatedError(AdmissionError):
-    """The bounded job queue is full; the submission was shed rather
-    than queued unboundedly (``server.queue_full``)."""
-
-
-class QuotaExceededError(AdmissionError):
-    """The submitting tenant already holds its full pending-job quota;
-    admitting more would let one tenant starve the others."""
-
-
-class ServiceDrainingError(AdmissionError):
-    """The service received a drain request (SIGTERM) and no longer
-    admits work; in-flight and journaled jobs still complete."""
-
-
 class CalibrationError(ReproError, ValueError):
     """Compact-model calibration cannot proceed or diverged.
 

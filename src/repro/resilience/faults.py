@@ -20,12 +20,6 @@ Sites instrumented across the pipeline:
 ``calibration.residual``    a calibration residual becomes NaN
 ``journal.crash``           simulated process death after a journal commit
 ``synth.miscompile``        a synthesis script emits a functionally wrong AIG
-``server.submit``           a service submission fails transiently at admission
-``server.queue_full``       the service queue reports saturation (load shed)
-``server.worker_crash``     a service worker dies mid-job (breaker/retry path)
-``cache.remote.timeout``    a remote-cache request times out
-``cache.remote.partition``  the remote cache server is unreachable
-``cache.remote.corrupt``    a fetched remote blob fails sha256 verification
 ==========================  ==================================================
 
 Activation, in priority order:
@@ -73,12 +67,6 @@ KNOWN_SITES = (
     "calibration.residual",
     "journal.crash",
     "synth.miscompile",
-    "server.submit",
-    "server.queue_full",
-    "server.worker_crash",
-    "cache.remote.timeout",
-    "cache.remote.partition",
-    "cache.remote.corrupt",
 )
 
 

@@ -106,14 +106,10 @@ def _env_float(name: str) -> float | None:
         return None
 
 
-def _start_method() -> str:
-    """Worker start method (``REPRO_MP_START`` override, default spawn).
-
-    ``spawn`` gives every worker a pristine interpreter — no inherited
-    locks mid-acquire, no shared caches — which is the point of the
-    isolation tier; ``fork`` is available for speed on POSIX.
-    """
-    return os.environ.get("REPRO_MP_START", "").strip() or "spawn"
+#: Worker start method: ``spawn`` gives every worker a pristine
+#: interpreter — no inherited locks mid-acquire, no shared caches, no
+#: inherited tracer context — which is the point of the isolation tier.
+START_METHOD = "spawn"
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +169,6 @@ def _worker_main(worker_id: int, fn: Callable, task_q, conn) -> None:
     global _worker_heartbeat
     with contextlib.suppress(Exception):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Under a fork start method the worker inherits the supervisor's
-    # contextvars — including the open ``isolation.process_map`` span.
-    # Detach them so the per-task child tracer starts a fresh tree
-    # (otherwise its root span parents under a stale cross-process id).
-    obs.tracer.reset_context()
     _worker_heartbeat = conn
     with contextlib.suppress(Exception):
         conn.send(("beat",))  # ready beat: ends the supervisor's spawn grace
@@ -344,7 +335,7 @@ def process_map(
     from ..obs.parallel import effective_jobs
 
     n_workers = max(1, min(effective_jobs(jobs), len(items)))
-    ctx = mp.get_context(_start_method())
+    ctx = mp.get_context(START_METHOD)
     events_q: _queue.Queue = _queue.Queue()  # fed by per-worker readers
     tracer = obs.current_tracer()  # telemetry forwarding on iff present
     peak_rss_mb = 0.0
@@ -408,22 +399,6 @@ def process_map(
             obs.count("isolation.worker_restart")
             spawn()
 
-    debug = bool(os.environ.get("REPRO_ISOLATION_DEBUG"))
-    last_debug = 0.0
-
-    def report_state() -> None:
-        """Supervisor state line for REPRO_ISOLATION_DEBUG=1 runs."""
-        busy = {
-            w.id: (w.task.index if w.task else None, w.process.is_alive())
-            for w in workers.values()
-        }
-        print(
-            f"[isolation] queue={[t.index for t in queue]} "
-            f"results={sorted(results)} failures={sorted(failures)} "
-            f"workers={busy}",
-            flush=True,
-        )
-
     with obs.span("isolation.process_map", jobs=n_workers, tasks=len(items)) as sp:
         # The dispatching span every forwarded worker tree parents under
         # (None when tracing is disabled — sp is then the shared no-op).
@@ -437,9 +412,6 @@ def process_map(
             while len(results) + len(failures) < len(items):
                 if on_error == "fail_fast" and failures:
                     break
-                if debug and time.monotonic() - last_debug > 1.0:
-                    last_debug = time.monotonic()
-                    report_state()
                 # 0. Keep idle workers fed — requeued retries and
                 # freshly restarted workers both pick up work here.
                 for worker in list(workers.values()):
@@ -572,30 +544,3 @@ def process_map(
         )
     return [results[i] for i in range(len(items))]
 
-
-def run_isolated(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    *,
-    label: str = "task",
-    task_timeout_s: float | None = None,
-    max_rss_mb: float | None = None,
-) -> Any:
-    """Run one task in a supervised worker subprocess.
-
-    The single-job entry point the characterization service's
-    ``isolate="process"`` tier uses: same watchdog and crash semantics
-    as :func:`process_map`, but with ``retries=0`` — a worker death
-    surfaces immediately as :class:`WorkerCrashError` so the caller's
-    own retry/circuit-breaker policy (not this layer) decides what
-    happens next.
-    """
-    return process_map(
-        fn,
-        [payload],
-        1,
-        labels=[label],
-        task_timeout_s=task_timeout_s,
-        max_rss_mb=max_rss_mb,
-        retries=0,
-    )[0]

@@ -21,6 +21,19 @@ class TestParser:
         assert args.temperature == 10.0
         assert args2.vdd == 0.7
 
+    @pytest.mark.parametrize("argv", [
+        ["serve"],
+        ["cache-serve"],
+        ["evaluate", "ctrl", "--cache-remote", "x:1"],
+        ["cache", "scrub", "--remote", "x:1"],
+    ])
+    def test_removed_scale_out_surface_is_rejected(self, argv):
+        # The job service and the remote cache tier are gone; their
+        # commands and flags must fail in the parser, not half-run.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_benchmarks_lists_twenty(self, capsys):
@@ -448,7 +461,7 @@ class TestCrashSafety:
 
 class TestEngineFlags:
     @pytest.mark.parametrize("argv", [
-        ["characterize"], ["synthesize", "ctrl"], ["evaluate", "ctrl"], ["serve"],
+        ["characterize"], ["synthesize", "ctrl"], ["evaluate", "ctrl"],
     ])
     def test_no_subcommand_accepts_kernel(self, argv, capsys):
         with pytest.raises(SystemExit):
