@@ -21,7 +21,6 @@ from typing import Sequence
 from .. import obs
 from ..resilience import faults, guards
 from ..resilience.errors import GuardViolation
-from ..resilience.isolation import task_heartbeat
 from ..pdk.catalog import standard_cell_catalog
 from ..pdk.cells import CellTemplate
 from ..pdk.technology import Technology, cryo5_technology
@@ -175,10 +174,6 @@ def characterize_library(
             "charlib.library", backend=backend, temperature_k=temperature_k
         ) as sp:
             for cell in cells:
-                # Liveness mark for the isolation watchdog: inside a
-                # worker subprocess each characterized cell counts as
-                # progress; elsewhere this is a no-op.
-                task_heartbeat()
                 with obs.span("charlib.cell", cell=cell.name):
                     result = _sanitize_cell(
                         characterizer.characterize_cell(cell, slews, loads)

@@ -22,8 +22,8 @@ out.jsonl`` (stream the full trace to a file); see
 ``docs/OBSERVABILITY.md``.  Flow commands also accept ``--cache-dir
 [DIR]`` (persist characterized libraries and optimized networks to an
 on-disk content-addressed cache, default ``~/.cache/repro``) and
-``evaluate``/``compare`` take ``--jobs N`` for parallel experiment
-fan-out; see ``docs/ARCHITECTURE.md``.
+``synthesize``/``evaluate``/``compare`` take ``--jobs N`` (worker
+threads) for parallel experiment fan-out; see ``docs/ARCHITECTURE.md``.
 
 ``synthesize`` and ``evaluate`` additionally append one distilled
 record per run (config fingerprint, per-stage wall times, cache and
@@ -42,10 +42,8 @@ accept ``--journal PATH`` (record a write-ahead run journal; implies a
 disk cache at ``PATH.cache`` unless ``--cache-dir``/``REPRO_CACHE_DIR``
 says otherwise) and ``--resume PATH`` (replay completed work from an
 interrupted run's journal — the resumed run's ``--json`` output is
-byte-identical to an uninterrupted one).  ``--isolate process`` moves
-the ``--jobs`` fan-out into supervised worker subprocesses with a
-hang/memory watchdog.  SIGINT/SIGTERM flush the journal and trace
-sinks, print the resume command, and exit 130.
+byte-identical to an uninterrupted one).  SIGINT/SIGTERM flush the
+journal and trace sinks, print the resume command, and exit 130.
 
 Run ``python -m repro <subcommand> --help`` for the options.
 """
@@ -166,13 +164,13 @@ def _journal_config(args: argparse.Namespace) -> dict:
 
     Everything that determines the *results* goes in (command,
     circuits, scenario, corner, signoff knobs); knobs that only change
-    *how* the run executes (jobs, isolation, tracing, output paths,
-    strictness) stay out, so a resume may legitimately use different
-    parallelism than the interrupted run.
+    *how* the run executes (jobs, tracing, output paths, strictness)
+    stay out, so a resume may legitimately use different parallelism
+    than the interrupted run.
     """
     excluded = {
         "func", "journal", "resume", "trace", "profile", "cache_dir",
-        "faults", "jobs", "isolate", "json", "output", "report", "strict",
+        "faults", "jobs", "json", "output", "report", "strict",
         "ledger", "no_ledger",
     }
     return {
@@ -306,12 +304,6 @@ def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
         help="resume an interrupted run from its journal, replaying "
              "completed work from the artifact cache",
     )
-    parser.add_argument(
-        "--isolate", choices=["thread", "process"], default="thread",
-        help="isolation tier for the --jobs fan-out: 'process' runs "
-             "each worker as a supervised subprocess with a "
-             "hang/memory watchdog (see docs/ROBUSTNESS.md)",
-    )
 
 
 def _guard_violation_exit(exc, json_path: str | None) -> int:
@@ -377,7 +369,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     print(f"synthesizing {aig.name}: {aig.num_pis} PIs, {aig.num_pos} POs, "
           f"{aig.num_ands} AIG nodes, scenario={args.scenario}, "
           f"T={args.temperature:g} K")
-    # Through run_scenarios (journal + isolation aware); one scenario
+    # Through run_scenarios (journal aware); one scenario
     # keeps the historical clock rule: own delay * the 1.1 margin.
     try:
         results = run_scenarios(
@@ -385,7 +377,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             context=context,
             scenarios=[args.scenario],
             jobs=args.jobs,
-            isolate=args.isolate,
             journal=args._journal,
         )
     except GuardViolation as exc:
@@ -432,7 +423,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 context=context,
                 vectors=args.vectors,
                 jobs=args.jobs,
-                isolate=args.isolate,
                 journal=args._journal,
             )
         except GuardViolation as exc:
@@ -714,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", "-r", help="signoff report output path")
     p.add_argument("--json", "-j", help="JSON result (FlowResult.to_dict) output path")
     p.add_argument("--jobs", "-J", type=int, default=1,
-                   help="workers for the scenario fan-out")
+                   help="worker threads for scenario fan-out")
     _add_obs_flags(p)
     _add_ledger_flags(p)
     _add_cache_flag(p)

@@ -44,7 +44,7 @@ from ..sta.power import PowerAnalyzer, PowerReport
 from ..sta.timing import SignoffConfig, StaticTimingAnalyzer, TimingReport
 from ..synth.aig import AIG
 from ..synth.scripts import ScriptReport, compress2rs, power_aware_restructure
-from .artifacts import ArtifactCache, cache_key
+from .artifacts import cache_key
 from .context import DesignContext
 from .stages import FlowRunner, Stage
 
@@ -351,29 +351,6 @@ class CryoSynthesisFlow:
         return result.power
 
 
-def _scenario_task(payload: tuple) -> FlowResult:
-    """Worker-side synthesis of one scenario (``isolate="process"``).
-
-    Module-level so it pickles across the spawn boundary; the worker
-    rebuilds its own :class:`DesignContext` (sharing the parent's disk
-    cache directory, if any) because neither contexts nor flows
-    survive pickling of their thread locks.  Signoff stays in the
-    parent — the fair clock period couples the scenarios.
-    """
-    aig, library, scenario, use_choices, signoff, seed, cache_dir = payload
-    context = DesignContext.from_library(
-        library,
-        signoff=signoff,
-        seed=seed,
-        cache=ArtifactCache(cache_dir=cache_dir),
-    )
-    flow = CryoSynthesisFlow(
-        scenario=scenario, use_choices=use_choices, context=context
-    )
-    with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
-        return flow.run(aig)
-
-
 def run_scenarios(
     aig: AIG,
     library: Library | None = None,
@@ -383,7 +360,6 @@ def run_scenarios(
     use_choices: bool = True,
     context: DesignContext | None = None,
     jobs: int = 1,
-    isolate: str = "thread",
     journal: RunJournal | None = None,
 ) -> dict[str, FlowResult]:
     """Run all scenarios on one circuit with the fair-power rule.
@@ -398,9 +374,7 @@ def run_scenarios(
     stage-2 power mode — the content-addressed generalization of the
     old per-call ``optimized_cache``.  With ``jobs > 1`` the scenario
     runs (and their signoffs) fan out over worker threads with
-    deterministic, scenario-ordered results; ``isolate="process"``
-    moves the synthesis fan-out into supervised worker subprocesses
-    (:mod:`repro.resilience.isolation`).
+    deterministic, scenario-ordered results.
 
     Crash safety: with a ``journal``, every fully signed-off scenario
     commits a ``scenario`` record carrying its cache key and result
@@ -439,54 +413,25 @@ def run_scenarios(
                 obs.count("journal.replay_miss")
     fresh = [s for s in scenarios if s not in results]
 
-    # Journaling stage records from subprocess workers is impossible
-    # (the journal's stream lives in the parent); scenario records
-    # below still cover the resume contract.
     flows = {
         scenario: CryoSynthesisFlow(
-            scenario=scenario,
-            use_choices=use_choices,
-            context=context,
-            journal=journal if isolate == "thread" else None,
+            scenario=scenario, use_choices=use_choices, context=context, journal=journal
         )
         for scenario in fresh
     }
     labels = [f"{aig.name}/{scenario}" for scenario in fresh]
-    if fresh:
-        if isolate == "process":
-            cache_dir = context.cache.cache_dir
-            payloads = [
-                (
-                    aig,
-                    context.library,
-                    scenario,
-                    use_choices,
-                    context.signoff,
-                    context.seed,
-                    str(cache_dir) if cache_dir is not None else None,
-                )
-                for scenario in fresh
-            ]
-            outs = obs.parallel_map(
-                _scenario_task, payloads, jobs, labels=labels, isolate="process"
-            )
-        else:
 
-            def run_one(scenario: str) -> FlowResult:
-                with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
-                    return flows[scenario].run(aig)
+    def run_one(scenario: str) -> FlowResult:
+        with obs.span("flow.scenario", circuit=aig.name, scenario=scenario):
+            return flows[scenario].run(aig)
 
-            outs = obs.parallel_map(run_one, fresh, jobs, labels=labels)
-        results.update(zip(fresh, outs))
+    results.update(zip(fresh, obs.parallel_map(run_one, fresh, jobs, labels=labels)))
 
     slowest = max(result.critical_delay for result in results.values())
     clock_period = max(slowest * clock_margin, 1e-12)
 
     def signoff_one(scenario: str) -> None:
-        flow = flows.get(scenario) or CryoSynthesisFlow(
-            scenario=scenario, use_choices=use_choices, context=context
-        )
-        flow.signoff_power(results[scenario], clock_period, vectors=vectors)
+        flows[scenario].signoff_power(results[scenario], clock_period, vectors=vectors)
 
     obs.parallel_map(signoff_one, fresh, jobs, labels=labels)
 

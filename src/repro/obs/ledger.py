@@ -56,7 +56,7 @@ _DISABLED = {"", "0", "off", "none", "disabled"}
 #: the pipeline taxonomy in ``docs/OBSERVABILITY.md`` — coarse enough
 #: to stay a handful of rows per run, fine enough to localize a
 #: regression to a stage before reaching for ``--trace``.
-_STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.")
+_STAGE_PREFIXES = ("flow.", "stage.", "charlib.", "synth.")
 
 #: Counter prefixes worth persisting per run (cache health, kernel
 #: path, resilience events).  High-cardinality hot-loop counters
@@ -64,10 +64,7 @@ _STAGE_PREFIXES = ("flow.", "stage.", "isolation.", "charlib.", "synth.")
 _COUNTER_PREFIXES = (
     "cache.",
     "guard.",
-    "stage.timeout",
-    "stage.deadline",
     "stage.error",
-    "isolation.",
     "journal.",
     "faults.",
     "resilience.",
@@ -153,13 +150,8 @@ def build_record(
     gauges = {
         name: value
         for name, value in sorted(metrics["gauges"].items())
-        if name.startswith(("resource.", "isolation.worker."))
+        if name.startswith("resource.")
     }
-    rss_candidates = [
-        gauges.get("resource.peak_rss_mb"),
-        gauges.get("isolation.worker.peak_rss_mb"),
-    ]
-    peak_rss = max((v for v in rss_candidates if v is not None), default=None)
     return {
         "schema": LEDGER_SCHEMA,
         "ts": time.time(),
@@ -168,7 +160,7 @@ def build_record(
         "config_fingerprint": config_fingerprint(config),
         "config": dict(config) if config is not None else None,
         "duration_s": round(tracer.elapsed(), 6),
-        "peak_rss_mb": peak_rss,
+        "peak_rss_mb": gauges.get("resource.peak_rss_mb"),
         "stages": {
             name: {
                 "calls": int(row["calls"]),

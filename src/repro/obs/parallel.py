@@ -1,43 +1,31 @@
-"""Context-propagating parallel map for experiment fan-out.
+"""Context-propagating, fail-fast parallel map over worker threads.
 
-The tracer is context-local (:mod:`contextvars`), so a bare
-``ThreadPoolExecutor`` worker would see *no* tracer and silently drop
-its spans.  :func:`parallel_map` snapshots the submitting context —
-active tracer *and* active span — per task, so worker spans land in
-the same trace, correctly parented under the span that was open at
-submission time.  Results preserve input order regardless of
+This is the one fan-out of the flow (scenarios, signoffs, circuits,
+characterization).  The tracer is context-local (:mod:`contextvars`),
+so a bare ``ThreadPoolExecutor`` worker would see *no* tracer and
+silently drop its spans.  :func:`parallel_map` copies the submitting
+context — active tracer *and* active span — per task, so worker spans
+land in the same trace, correctly parented under the span that was
+open at submission time.  Results preserve input order regardless of
 completion order, which is what keeps ``jobs=N`` runs byte-identical
 to serial ones.
 
-Failure semantics (see ``docs/ROBUSTNESS.md``):
-
-* every task failure is annotated in place with ``task_index`` and
-  ``task_label`` attributes (and an ``add_note`` on Python >= 3.11)
-  before it propagates, so a worker traceback names the task;
-* ``on_error="fail_fast"`` (default) cancels queued sibling tasks on
-  the first failure, *drains* already-running ones (the pool is shut
-  down with ``wait=True`` — no thread is abandoned mid-task), then
-  re-raises the original exception;
-* ``on_error="collect"`` runs every task to completion and raises one
-  :class:`repro.resilience.errors.ParallelExecutionError` aggregating
-  all failures;
-* ``timeout_s`` bounds the whole fan-out; on expiry remaining tasks
-  are cancelled and a
-  :class:`repro.resilience.errors.TimeoutExceeded` is raised (running
-  tasks are abandoned to finish in the background — the one case the
-  pool does not drain).
+Failure semantics (see ``docs/ROBUSTNESS.md``): every task failure is
+annotated in place with ``task_index`` and ``task_label`` attributes
+(and an ``add_note`` on Python >= 3.11) so a worker traceback names
+the task.  The first failure cancels queued sibling tasks, *drains*
+already-running ones (the pool is shut down with ``wait=True`` — no
+thread is abandoned mid-task), then re-raises the original exception.
 
 The ``parallel.worker`` fault-injection site
 (:mod:`repro.resilience.faults`) can force a task failure to exercise
-these paths deterministically.
+this path deterministically.
 """
 
 from __future__ import annotations
 
 import contextvars
-import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Callable, Iterable, List, Sequence, TypeVar, Union
 
 from .tracer import count
@@ -91,9 +79,6 @@ def parallel_map(
     jobs: int | None = 1,
     *,
     labels: Labels = None,
-    on_error: str = "fail_fast",
-    timeout_s: float | None = None,
-    isolate: str = "thread",
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally across worker threads.
 
@@ -103,107 +88,39 @@ def parallel_map(
     context; the result list is ordered by input position.
 
     ``labels`` names tasks for error annotation (a sequence aligned
-    with ``items`` or a callable of the item); ``on_error`` selects
-    fail-fast or collect-errors semantics and ``timeout_s`` bounds the
-    whole fan-out (see the module docstring).
-
-    ``isolate="process"`` delegates to
-    :func:`repro.resilience.isolation.process_map`: each worker is a
-    supervised subprocess with heartbeats, a stall/memory watchdog,
-    and crash restart.  The contract is the same (ordered results,
-    identical failure semantics) but ``fn`` and all values must
-    pickle, and ``timeout_s`` becomes the *per-task* stall budget
-    rather than a whole-fan-out deadline.
+    with ``items`` or a callable of the item); the first failure
+    propagates after the pool drains (see the module docstring).
     """
-    if on_error not in ("fail_fast", "collect"):
-        raise ValueError(f"on_error must be 'fail_fast' or 'collect', not {on_error!r}")
-    if isolate not in ("thread", "process"):
-        raise ValueError(f"isolate must be 'thread' or 'process', not {isolate!r}")
     items = list(items)
-    if isolate == "process":
-        from ..resilience.isolation import process_map
-
-        return process_map(
-            fn,
-            items,
-            effective_jobs(jobs),
-            labels=[_label_for(labels, fn, item, i) for i, item in enumerate(items)],
-            on_error=on_error,
-            task_timeout_s=timeout_s,
-        )
     jobs = effective_jobs(jobs)
     if jobs <= 1 or len(items) <= 1:
-        return _serial_map(fn, items, labels, on_error)
+        results: List[R] = []
+        for index, item in enumerate(items):
+            label = _label_for(labels, fn, item, index)
+            try:
+                results.append(_run_one(fn, item, label))
+            except Exception as exc:
+                _annotate(exc, label, index)
+                count("parallel.task_failed")
+                raise
+        return results
 
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    results: List[R] = [None] * len(items)  # type: ignore[list-item]
-    errors: list[tuple[int, str, Exception]] = []
     pool = ThreadPoolExecutor(max_workers=min(jobs, len(items)))
-    drain = True
     try:
         tasks = []
         for index, item in enumerate(items):
             label = _label_for(labels, fn, item, index)
             context = contextvars.copy_context()
             tasks.append((pool.submit(context.run, _run_one, fn, item, label), label))
+        results = []
         for index, (future, label) in enumerate(tasks):
-            budget = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                results[index] = future.result(timeout=budget)
-            except _FuturesTimeout:
-                from ..resilience.errors import TimeoutExceeded
-
-                # Cannot drain: the expired task may never finish.
-                drain = False
-                count("parallel.timeout")
-                raise TimeoutExceeded(
-                    f"parallel_map deadline of {timeout_s:g}s exceeded while "
-                    f"waiting for task {index} ({label})",
-                    site="parallel",
-                    timeout_s=timeout_s,
-                ) from None
+                results.append(future.result())
             except Exception as exc:
                 _annotate(exc, label, index)
                 count("parallel.task_failed")
-                if on_error == "fail_fast":
-                    raise
-                errors.append((index, label, exc))
-    finally:
-        # fail_fast: queued tasks are cancelled, in-flight ones drain.
-        pool.shutdown(wait=drain, cancel_futures=True)
-    if errors:
-        from ..resilience.errors import ParallelExecutionError
-
-        raise ParallelExecutionError(
-            f"{len(errors)} of {len(items)} parallel tasks failed: "
-            + ", ".join(label for _, label, _ in errors),
-            errors=errors,
-        )
-    return results
-
-
-def _serial_map(
-    fn: Callable[[T], R], items: list[T], labels: Labels, on_error: str
-) -> List[R]:
-    results: List[R] = []
-    errors: list[tuple[int, str, Exception]] = []
-    for index, item in enumerate(items):
-        label = _label_for(labels, fn, item, index)
-        try:
-            results.append(_run_one(fn, item, label))
-        except Exception as exc:
-            _annotate(exc, label, index)
-            count("parallel.task_failed")
-            if on_error == "fail_fast":
                 raise
-            errors.append((index, label, exc))
-            results.append(None)  # type: ignore[arg-type]
-    if errors:
-        from ..resilience.errors import ParallelExecutionError
-
-        raise ParallelExecutionError(
-            f"{len(errors)} of {len(items)} tasks failed: "
-            + ", ".join(label for _, label, _ in errors),
-            errors=errors,
-        )
+    finally:
+        # Queued tasks are cancelled, in-flight ones drain.
+        pool.shutdown(wait=True, cancel_futures=True)
     return results

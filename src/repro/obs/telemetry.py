@@ -1,28 +1,9 @@
-"""Cross-process telemetry: span forwarding and resource monitoring.
+"""Per-process resource monitoring for traced runs.
 
-The tracer is context-local and process-local, so spans recorded
-inside an ``--isolate process`` worker used to die at the pipe
-boundary — a profiled isolated run showed only the supervisor's
-``isolation.process_map`` span where the in-process run showed the
-whole synthesis tree.  This module closes that gap:
-
-* :func:`snapshot` serializes a worker-side tracer's completed spans
-  plus its **raw** metric state (counters, gauges, un-aggregated
-  histogram observations) into a plain-dict wire form that crosses the
-  existing result pipe;
-* :func:`record_task` synthesizes the supervisor-side "dispatching
-  task" span (``isolation.task`` with the task's label) and
-  :func:`graft` re-parents the worker's span tree under it with fresh
-  span ids, merging the worker's metrics into the supervisor tracer —
-  so ``--profile`` and ``report-trace`` show the true execution
-  profile regardless of the isolation tier;
-* :class:`ResourceMonitor` is a sampling daemon thread recording
-  RSS/CPU gauges (and an RSS histogram, so the percentile rendering
-  applies) for the current process — the per-run resource companion
-  the run ledger (:mod:`repro.obs.ledger`) persists.
-
-Everything here is transport-agnostic plain data: snapshots are
-JSON-safe dicts, so they pickle across a spawn boundary.
+:class:`ResourceMonitor` is a sampling daemon thread recording RSS/CPU
+gauges (and an RSS histogram, so the percentile rendering applies) for
+the current process — the per-run resource companion the run ledger
+(:mod:`repro.obs.ledger`) persists.
 """
 
 from __future__ import annotations
@@ -30,165 +11,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any
 
-from .tracer import SpanRecord, Tracer
+from .tracer import Tracer
 
-__all__ = [
-    "TELEMETRY_VERSION",
-    "snapshot",
-    "graft",
-    "record_task",
-    "ResourceMonitor",
-]
-
-#: Bump when the snapshot wire form changes incompatibly; :func:`graft`
-#: ignores snapshots from a newer version rather than mis-parsing them.
-TELEMETRY_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# Snapshot (worker side)
-# ----------------------------------------------------------------------
-def _wire_value(value: Any) -> Any:
-    """JSON/pickle-safe projection of a span attribute value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
-def _span_to_wire(record: SpanRecord) -> dict[str, Any]:
-    attrs = {
-        k: _wire_value(v) for k, v in record.attrs.items() if not k.startswith("__")
-    }
-    return {
-        "id": record.span_id,
-        "parent": record.parent_id,
-        "name": record.name,
-        "start": record.start,
-        "duration": record.duration,
-        "status": record.status,
-        "attrs": attrs,
-        "counters": dict(record.counters),
-    }
-
-
-def snapshot(tracer: Tracer) -> dict[str, Any]:
-    """Serialize a tracer's completed spans + raw metrics for transport.
-
-    Unlike :meth:`Tracer.metrics_snapshot` the histograms here keep
-    their raw observation lists — the receiver merges them into its own
-    tracer and re-aggregates, so forwarded percentiles stay exact.
-    """
-    with tracer._lock:
-        spans = list(tracer.spans)
-        counters = dict(tracer.counters)
-        gauges = dict(tracer.gauges)
-        histograms = {name: list(values) for name, values in tracer.histograms.items()}
-    return {
-        "version": TELEMETRY_VERSION,
-        "spans": [_span_to_wire(record) for record in spans],
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
-
-
-# ----------------------------------------------------------------------
-# Graft (supervisor side)
-# ----------------------------------------------------------------------
-def graft(
-    tracer: Tracer,
-    snap: dict[str, Any] | None,
-    *,
-    parent: SpanRecord | None = None,
-    start_shift: float = 0.0,
-) -> int:
-    """Merge a :func:`snapshot` into ``tracer``; returns spans grafted.
-
-    Spans get fresh ids from the receiving tracer; worker-side parent
-    links are remapped, and any span whose parent was still open at
-    snapshot time (or unknown) is parented directly under ``parent``.
-    ``start_shift`` re-bases the worker's epoch-relative start offsets
-    into the receiver's epoch (pass the dispatching span's start).
-    Counters and gauges merge into the tracer's global aggregates;
-    histogram observations are appended raw.
-    """
-    if not snap or snap.get("version", 0) > TELEMETRY_VERSION:
-        return 0
-    wire_spans = snap.get("spans") or []
-    # Two passes: completion order lists children before their parents,
-    # so every id must exist before links are resolved.
-    id_map: dict[int, int] = {}
-    with tracer._lock:
-        for wire in wire_spans:
-            id_map[wire["id"]] = tracer._next_id
-            tracer._next_id += 1
-    fallback = parent.span_id if parent is not None else None
-    for wire in wire_spans:
-        new_id = id_map[wire["id"]]
-        parent_id = id_map.get(wire.get("parent"), fallback)
-        if parent_id == new_id:
-            # A snapshot taken in a forked worker can carry a stale
-            # cross-process parent id that collides with the span's own
-            # remapped id; never emit a self-cycle.
-            parent_id = fallback
-        record = SpanRecord(
-            span_id=new_id,
-            parent_id=parent_id,
-            name=wire["name"],
-            start=wire.get("start", 0.0) + start_shift,
-            duration=wire.get("duration"),
-            attrs=dict(wire.get("attrs") or {}),
-            counters=dict(wire.get("counters") or {}),
-            status=wire.get("status", "ok"),
-        )
-        with tracer._lock:
-            tracer.spans.append(record)
-        for sink in tracer.sinks:
-            sink.on_span(record)
-    with tracer._lock:
-        for name, value in (snap.get("counters") or {}).items():
-            tracer.counters[name] = tracer.counters.get(name, 0) + value
-        tracer.gauges.update(snap.get("gauges") or {})
-        for name, values in (snap.get("histograms") or {}).items():
-            tracer.histograms.setdefault(name, []).extend(values)
-    return len(wire_spans)
-
-
-def record_task(
-    tracer: Tracer,
-    parent: SpanRecord | None,
-    label: str,
-    start: float,
-    end: float,
-    *,
-    status: str = "ok",
-    telemetry: dict[str, Any] | None = None,
-    **attrs: Any,
-) -> SpanRecord:
-    """Record one supervisor-side task span and graft its telemetry.
-
-    ``start``/``end`` are offsets in the receiving tracer's epoch
-    (:meth:`Tracer.elapsed` at dispatch and completion).  The worker's
-    forwarded spans land *under* the returned task span, which is what
-    makes the summary tree read "task X ran these stages in a worker".
-    """
-    record = SpanRecord(
-        span_id=tracer._alloc_span_id(),
-        parent_id=parent.span_id if parent is not None else None,
-        name="isolation.task",
-        start=start,
-        duration=max(0.0, end - start),
-        attrs={"label": label, **attrs},
-        status=status,
-    )
-    with tracer._lock:
-        tracer.spans.append(record)
-    for sink in tracer.sinks:
-        sink.on_span(record)
-    graft(tracer, telemetry, parent=record, start_shift=start)
-    return record
+__all__ = ["ResourceMonitor"]
 
 
 # ----------------------------------------------------------------------

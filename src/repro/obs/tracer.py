@@ -196,17 +196,12 @@ class Tracer:
         """Seconds since this tracer's epoch (monotonic clock)."""
         return time.perf_counter() - self._epoch
 
-    def _alloc_span_id(self) -> int:
-        """Reserve one span id (used by cross-process span grafting)."""
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        return span_id
-
     # -- spans ----------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _ActiveSpan:
         parent = _CURRENT_SPAN.get()
-        span_id = self._alloc_span_id()
+        with self._lock:
+            span_id = self._next_id
+            self._next_id += 1
         record = SpanRecord(
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,

@@ -1,8 +1,8 @@
 """Fault tolerance layer: error taxonomy, retry ladders, degradation,
-deterministic fault injection, crash-safe journaling, subprocess
-isolation, and stage-boundary guards (``repro.resilience``).
+deterministic fault injection, crash-safe journaling, and
+stage-boundary guards (``repro.resilience``).
 
-Six pieces, adopted across the pipeline:
+Five pieces, adopted across the pipeline:
 
 * :mod:`repro.resilience.errors` — the structured exception taxonomy
   (``transient`` / ``permanent`` / ``degraded``) every layer raises;
@@ -15,9 +15,6 @@ Six pieces, adopted across the pipeline:
 * :mod:`repro.resilience.journal` — the write-ahead run journal
   (``--journal`` / ``--resume`` on the CLI) that makes a ``kill -9``'d
   sweep resumable to byte-identical output;
-* :mod:`repro.resilience.isolation` — supervised worker subprocesses
-  with heartbeats, a stall/memory watchdog, and crash restart
-  (``parallel_map(..., isolate="process")``);
 * :mod:`repro.resilience.guards` — stage-boundary invariant checks
   (bounded CEC plus AIG/library/netlist structural invariants) that
   quarantine wrong artifacts before they can enter the cache.
@@ -42,20 +39,13 @@ from .errors import (
     JournalLockedError,
     JournalMismatchError,
     MeasurementError,
-    ParallelExecutionError,
     PermanentError,
     ReproError,
-    StageTimeoutError,
-    TimeoutExceeded,
     TransientError,
-    WorkerCrashError,
-    WorkerHungError,
-    WorkerMemoryError,
     classify,
     is_transient,
 )
 from .faults import ENV_VAR, FaultPlan, FaultSpec, injecting, install, parse_plan
-from .isolation import process_map, task_heartbeat
 from .journal import (
     RunJournal,
     acquire_writer_lock,
@@ -82,12 +72,6 @@ __all__ = [
     "JournalLockedError",
     "JournalMismatchError",
     "MeasurementError",
-    "ParallelExecutionError",
-    "StageTimeoutError",
-    "TimeoutExceeded",
-    "WorkerCrashError",
-    "WorkerHungError",
-    "WorkerMemoryError",
     "classify",
     "is_transient",
     "faults",
@@ -98,8 +82,6 @@ __all__ = [
     "injecting",
     "install",
     "parse_plan",
-    "process_map",
-    "task_heartbeat",
     "RunJournal",
     "acquire_writer_lock",
     "artifact_digest",

@@ -5,8 +5,8 @@ three kinds, carried on the exception class (or instance) as
 ``classification``:
 
 * ``transient`` — retrying (possibly with relaxed parameters) may
-  succeed: Newton non-convergence, a corrupt disk-cache entry, a
-  timed-out stage, an injected chaos fault;
+  succeed: Newton non-convergence, a corrupt disk-cache entry, an
+  injected chaos fault;
 * ``permanent`` — retrying cannot help: bad configuration, a
   diverged calibration, an impossible request;
 * ``degraded`` — the operation *completed* but on a fallback path
@@ -91,25 +91,6 @@ class InjectedFaultError(TransientError):
     specific domain exception (e.g. ``parallel.worker``)."""
 
 
-class TimeoutExceeded(TransientError):
-    """A deadline or timeout expired before the work finished."""
-
-    def __init__(
-        self,
-        message: str = "",
-        *args,
-        site: str | None = None,
-        timeout_s: float | None = None,
-    ):
-        super().__init__(message, *args, site=site)
-        self.timeout_s = timeout_s
-
-
-class StageTimeoutError(TimeoutExceeded):
-    """A pipeline stage exceeded its per-stage timeout or the flow
-    deadline (see :class:`repro.core.stages.FlowRunner`)."""
-
-
 class InjectedCrashError(PermanentError):
     """Simulated process death injected at the ``journal.crash`` site.
 
@@ -118,24 +99,6 @@ class InjectedCrashError(PermanentError):
     between any two records of a sweep and then exercise the resume
     path.  Permanent: nothing in-process should retry past a simulated
     death."""
-
-
-class WorkerCrashError(TransientError):
-    """An isolated worker subprocess died before returning a result.
-
-    Transient: the supervisor restarts the worker and the task is
-    eligible for re-dispatch (and the caller's retry ladder may try
-    again)."""
-
-
-class WorkerHungError(WorkerCrashError):
-    """The watchdog killed a worker that stopped making progress
-    (no heartbeat within the task's stall budget)."""
-
-
-class WorkerMemoryError(WorkerCrashError):
-    """The watchdog killed a worker whose resident set exceeded the
-    configured memory cap."""
 
 
 class GuardViolation(PermanentError):
@@ -187,21 +150,6 @@ class CalibrationError(ReproError, ValueError):
     Also a ``ValueError`` so pre-taxonomy callers that caught
     ``ValueError`` keep working.
     """
-
-
-class ParallelExecutionError(ReproError):
-    """Aggregate failure of a ``collect``-policy parallel fan-out.
-
-    ``errors`` holds ``(index, label, exception)`` triples for every
-    failed task.  The aggregate classifies as transient iff *all*
-    component failures are transient.
-    """
-
-    def __init__(self, message: str = "", errors=()):
-        super().__init__(message)
-        self.errors = list(errors)
-        if self.errors and all(is_transient(exc) for _, _, exc in self.errors):
-            self.classification = TRANSIENT
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Chaos-style testing for the flow: every recovery path in the codebase
 (the Newton retry ladder, analytic fallback characterization, cache
-quarantine, parallel-task error capture, calibration sanitization) has
+quarantine, parallel-task failure annotation, calibration sanitization) has
 an injection *site* where a :class:`FaultPlan` can force the failure
 it recovers from.  Injection is fully deterministic: whether a check
 fires depends only on the plan's seed, the site name, and how many
@@ -16,7 +16,6 @@ Sites instrumented across the pipeline:
 ``charlib.measure``         a characterization measurement becomes NaN
 ``cache.disk``              a disk cache entry is truncated on write
 ``parallel.worker``         a ``parallel_map`` task raises ``InjectedFaultError``
-``parallel.hang``           an isolated worker subprocess stops making progress
 ``calibration.residual``    a calibration residual becomes NaN
 ``journal.crash``           simulated process death after a journal commit
 ``synth.miscompile``        a synthesis script emits a functionally wrong AIG
@@ -63,7 +62,6 @@ KNOWN_SITES = (
     "charlib.measure",
     "cache.disk",
     "parallel.worker",
-    "parallel.hang",
     "calibration.residual",
     "journal.crash",
     "synth.miscompile",

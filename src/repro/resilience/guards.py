@@ -206,8 +206,8 @@ def check_library_invariants(library: "Library") -> list[str]:
     :class:`repro.charlib.nldm.NLDMTable` validates its axes at
     construction and the characterization engine sanitizes non-finite
     measurements — but artifacts that travelled through a disk cache
-    (pickle bypasses ``__post_init__``) or a subprocess boundary get
-    re-checked here before signoff trusts them.
+    (pickle bypasses ``__post_init__``) get re-checked here before
+    signoff trusts them.
     """
     violations: list[str] = []
     for cell in library.cells.values():

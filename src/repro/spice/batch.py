@@ -42,7 +42,6 @@ import numpy as np
 
 from .. import obs
 from ..resilience import faults
-from ..resilience.isolation import task_heartbeat
 from .engine import (
     MAX_STEP_REFINEMENTS,
     NEWTON_LADDER,
@@ -232,7 +231,6 @@ class BatchedSimulator:
         instance_steps = 0
         for k in range(1, int(n_steps.max())):
             active = np.nonzero(k < n_steps)[0].astype(np.intp)
-            task_heartbeat()
             lockstep_rounds += 1
             instance_steps += int(active.size)
             t0s = np.array([times_list[int(i)][k - 1] for i in active])

@@ -28,7 +28,6 @@ import numpy as np
 from .. import obs
 from ..resilience import faults
 from ..resilience.errors import TransientError
-from ..resilience.isolation import task_heartbeat
 from ..resilience.retry import run_ladder
 from .kernels import VectorStamper
 from .netlist import GROUND, Circuit
@@ -433,9 +432,6 @@ class Simulator:
         )
 
         for step in range(1, n_steps):
-            # Liveness mark for the isolation watchdog: each accepted
-            # time step is progress (no-op outside isolated workers).
-            task_heartbeat()
             use_trap = step > 1
             x, i_cap_prev = self._advance_step(
                 x, i_cap_prev, float(times[step - 1]), float(times[step]), use_trap,

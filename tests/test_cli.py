@@ -26,10 +26,12 @@ class TestParser:
         ["cache-serve"],
         ["evaluate", "ctrl", "--cache-remote", "x:1"],
         ["cache", "scrub", "--remote", "x:1"],
+        ["evaluate", "ctrl", "--isolate", "process"],
     ])
     def test_removed_scale_out_surface_is_rejected(self, argv):
-        # The job service and the remote cache tier are gone; their
-        # commands and flags must fail in the parser, not half-run.
+        # The job service, the remote cache tier and the process
+        # isolation tier are gone; their commands and flags must fail
+        # in the parser, not half-run.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -335,7 +337,7 @@ class TestResilienceFlags:
 
 
 class TestCrashSafety:
-    """--journal / --resume / --isolate and interrupt handling (ISSUE 4)."""
+    """--journal / --resume and interrupt handling."""
 
     @pytest.mark.no_chaos  # byte-identity counts on no injection
     def test_journal_then_resume_byte_identical(self, tmp_path, capsys):
@@ -441,22 +443,6 @@ class TestCrashSafety:
         err = capsys.readouterr().err
         assert "interrupted" in err
         assert "--resume" not in err
-
-    @pytest.mark.no_chaos  # byte-identity counts on no injection
-    def test_isolate_process_matches_thread(self, tmp_path):
-        import json
-
-        threaded = tmp_path / "thread.json"
-        isolated = tmp_path / "process.json"
-        base = [
-            "evaluate", "ctrl", "--preset", "small", "--vectors", "64",
-            "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
-        ]
-        assert main([*base, "--json", str(threaded)]) == 0
-        assert main([
-            *base, "--isolate", "process", "--json", str(isolated),
-        ]) == 0
-        assert json.loads(threaded.read_text()) == json.loads(isolated.read_text())
 
 
 class TestEngineFlags:

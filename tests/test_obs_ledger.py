@@ -27,7 +27,6 @@ def _make_tracer() -> obs.Tracer:
                 obs.count("cache.miss", 1)
         obs.count("spice.newton.iterations", 999)  # hot-loop: not persisted
         obs.gauge("resource.peak_rss_mb", 120.5)
-        obs.gauge("isolation.worker.peak_rss_mb", 200.25)
     finally:
         tracer.uninstall()
     return tracer
@@ -49,8 +48,7 @@ class TestRecord:
         )
         assert record["counters"] == {"cache.hit": 3, "cache.miss": 1}
         assert "spice.newton.iterations" not in record["counters"]
-        # Worker peak beats the supervisor's own peak here.
-        assert record["peak_rss_mb"] == 200.25
+        assert record["peak_rss_mb"] == 120.5
         assert record["config_fingerprint"]
         json.dumps(record)  # must be plain JSON
 

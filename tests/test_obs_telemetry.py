@@ -1,246 +1,8 @@
-"""Cross-process telemetry: span forwarding, grafting, resource monitor.
-
-The ``--isolate process`` contract (``docs/OBSERVABILITY.md``): spans,
-counters, and histogram observations recorded *inside* a worker
-subprocess ride home over the result pipe and are re-parented under a
-supervisor-side ``isolation.task`` span, so the profile of an isolated
-run reads the same as an in-process one.  Task functions live at
-module level where pickle can find them (spawn start method).
-"""
+"""Resource monitor: RSS/CPU gauges sampled into a tracer."""
 
 import os
 
-import pytest
-
 from repro import obs
-from repro.obs import telemetry
-from repro.obs.tracer import SpanRecord
-from repro.resilience import FaultPlan, FaultSpec, injecting
-from repro.resilience.isolation import process_map
-
-
-def _traced_square(x):
-    with obs.span("tele.work", item=x):
-        obs.count("tele.done")
-        obs.observe("tele.lat", float(x))
-    return x * x
-
-
-def _tiny_transient(_):
-    from repro.device import CryoFinFET, default_nfet_5nm, default_pfet_5nm
-    from repro.pdk import cryo5_technology
-    from repro.spice import Circuit, DC, Simulator, ramp
-
-    tech = cryo5_technology()
-    circuit = Circuit("inv")
-    circuit.add_vsource("vdd", "vdd", "0", DC(tech.vdd))
-    circuit.add_vsource("vin", "a", "0", ramp(2e-11, 1e-11, 0.0, tech.vdd))
-    circuit.add_finfet("mp", "y", "a", "vdd", CryoFinFET(default_pfet_5nm(nfin=3)))
-    circuit.add_finfet("mn", "y", "a", "0", CryoFinFET(default_nfet_5nm(nfin=2)))
-    circuit.add_capacitor("cl", "y", "0", 2e-15)
-    result = Simulator(circuit, 10.0).transient(5e-11, 1e-12)
-    return len(result.time)
-
-
-class TestSnapshotGraft:
-    """Unit-level wire-format tests: no subprocesses involved."""
-
-    def test_roundtrip_reparents_and_merges(self):
-        child = obs.Tracer()
-        child.install()
-        try:
-            with obs.span("child.outer"):
-                with obs.span("child.inner"):
-                    obs.count("child.work", 2)
-            obs.observe("child.lat", 1.5)
-            obs.gauge("child.level", 7.0)
-        finally:
-            child.uninstall()
-        snap = telemetry.snapshot(child)
-        assert snap["version"] == telemetry.TELEMETRY_VERSION
-
-        parent_tracer = obs.Tracer()
-        with parent_tracer:
-            with obs.span("host") as sp:
-                host = sp.record
-        grafted = telemetry.graft(
-            parent_tracer, snap, parent=host, start_shift=10.0
-        )
-        assert grafted == 2
-        by_name = {s.name: s for s in parent_tracer.spans}
-        outer, inner = by_name["child.outer"], by_name["child.inner"]
-        assert outer.parent_id == host.span_id
-        assert inner.parent_id == outer.span_id
-        assert inner.span_id != outer.span_id
-        assert outer.start >= 10.0  # re-based into the receiver's epoch
-        assert parent_tracer.counters["child.work"] == 2
-        assert parent_tracer.histograms["child.lat"] == [1.5]
-        assert parent_tracer.gauges["child.level"] == 7.0
-
-    def test_graft_ignores_newer_version_and_empty(self):
-        tracer = obs.Tracer()
-        assert telemetry.graft(tracer, None) == 0
-        assert telemetry.graft(tracer, {}) == 0
-        newer = {"version": telemetry.TELEMETRY_VERSION + 1,
-                 "spans": [{"id": 1, "name": "x", "start": 0.0}]}
-        assert telemetry.graft(tracer, newer) == 0
-        assert tracer.spans == []
-
-    def test_graft_never_emits_self_cycle(self):
-        # A forked worker can snapshot a span whose recorded parent is a
-        # stale cross-process id that collides with the span's own id
-        # after remapping; the graft must fall back to the task parent.
-        tracer = obs.Tracer()
-        task = SpanRecord(span_id=tracer._alloc_span_id(), parent_id=None,
-                          name="isolation.task", start=0.0, duration=0.1)
-        tracer.spans.append(task)
-        snap = {
-            "version": telemetry.TELEMETRY_VERSION,
-            "spans": [{"id": 1, "parent": 1, "name": "w", "start": 0.0,
-                       "duration": 0.01, "status": "ok"}],
-        }
-        assert telemetry.graft(tracer, snap, parent=task) == 1
-        grafted = tracer.spans[-1]
-        assert grafted.parent_id == task.span_id
-        assert grafted.parent_id != grafted.span_id
-
-    def test_wire_values_sanitized(self):
-        child = obs.Tracer()
-        child.install()
-        try:
-            with obs.span("s", obj=object(), n=3, text="x", flag=True):
-                pass
-        finally:
-            child.uninstall()
-        [wire] = telemetry.snapshot(child)["spans"]
-        assert isinstance(wire["attrs"]["obj"], str)  # stringified, not pickled
-        assert wire["attrs"]["n"] == 3
-        assert wire["attrs"]["flag"] is True
-
-    def test_record_task_synthesizes_span(self):
-        tracer = obs.Tracer()
-        record = telemetry.record_task(
-            tracer, None, "task[0]", 1.0, 1.5, status="error", worker=2
-        )
-        assert record.name == "isolation.task"
-        assert record.attrs["label"] == "task[0]"
-        assert record.attrs["worker"] == 2
-        assert record.status == "error"
-        assert record.duration == pytest.approx(0.5)
-        assert tracer.spans[-1] is record
-
-
-@pytest.mark.no_chaos
-class TestProcessMapForwarding:
-    def test_worker_spans_and_metrics_come_home(self):
-        with obs.Tracer() as tracer:
-            results = process_map(_traced_square, [1, 2, 3], jobs=2)
-        assert results == [1, 4, 9]
-        by_name: dict[str, list] = {}
-        for record in tracer.spans:
-            by_name.setdefault(record.name, []).append(record)
-        tasks = by_name["isolation.task"]
-        assert {t.attrs["label"] for t in tasks} == {
-            "task[0]", "task[1]", "task[2]"
-        }
-        [pmap] = by_name["isolation.process_map"]
-        assert all(t.parent_id == pmap.span_id for t in tasks)
-        task_ids = {t.span_id for t in tasks}
-        works = by_name["tele.work"]
-        assert len(works) == 3
-        assert all(w.parent_id in task_ids for w in works)
-        metrics = tracer.metrics_snapshot()
-        assert metrics["counters"]["tele.done"] == 3
-        assert metrics["histograms"]["tele.lat"]["count"] == 3
-        assert metrics["gauges"].get("isolation.worker.peak_rss_mb", 0) >= 0
-
-    def test_no_tracer_means_no_worker_tracing(self):
-        # Without a supervisor tracer the dispatch carries trace=False;
-        # nothing to assert beyond "it still works" — the cost gate is
-        # benchmarks/test_obs_overhead.py.
-        assert process_map(_traced_square, [2], jobs=1) == [4]
-
-    def test_killed_worker_task_span_survives_crash_and_retry(self):
-        # Satellite contract: a watchdog-killed task loses the spans
-        # that died with the worker, but the supervisor still records
-        # an error-status isolation.task span for the attempt, and the
-        # retry's spans arrive labelled like any other task.
-        plan = FaultPlan([FaultSpec("parallel.hang", first_n=1)], seed=0)
-        with obs.Tracer() as tracer:
-            with injecting(plan):
-                results = process_map(
-                    _traced_square, [5, 6], jobs=1, task_timeout_s=0.8
-                )
-        assert results == [25, 36]
-        tasks = [s for s in tracer.spans if s.name == "isolation.task"]
-        errors = [t for t in tasks if t.status == "error"]
-        assert len(errors) == 1
-        assert errors[0].attrs["error"] == "WorkerHungError"
-        assert errors[0].attrs["attempt"] == 1
-        retried = [
-            t for t in tasks
-            if t.attrs["label"] == errors[0].attrs["label"] and t.status == "ok"
-        ]
-        assert len(retried) == 1
-        assert retried[0].attrs["attempt"] == 2
-        # Both items' worker spans made it home despite the kill.
-        works = [s for s in tracer.spans if s.name == "tele.work"]
-        assert {w.attrs["item"] for w in works} == {5, 6}
-        counters = tracer.metrics_snapshot()["counters"]
-        assert counters["isolation.watchdog_kill"] == 1
-        assert counters["tele.done"] == 2
-
-    def test_spice_counters_forwarded_from_worker(self):
-        # A real kernel workload in the worker: the Newton-solve
-        # counters recorded deep inside the SPICE engine must show up
-        # in the supervisor's aggregate, and the engine's span tree
-        # must hang under the task span.
-        with obs.Tracer() as tracer:
-            [steps] = process_map(_tiny_transient, [0], jobs=1)
-        assert steps > 10
-        counters = tracer.metrics_snapshot()["counters"]
-        assert counters.get("spice.newton.solves", 0) > 0
-        spice_spans = [s for s in tracer.spans if s.name == "spice.transient"]
-        assert len(spice_spans) == 1
-        [task] = [s for s in tracer.spans if s.name == "isolation.task"]
-        assert spice_spans[0].parent_id == task.span_id
-
-
-class TestFlowTreeParity:
-    def test_isolated_run_contains_in_process_span_tree(self):
-        # Acceptance: the span-name tree of an --isolate process run
-        # must cover the in-process (thread) run's flow/synthesis tree
-        # — before telemetry forwarding the worker spans simply
-        # vanished at the pipe.
-        from repro.benchgen import build_circuit
-        from repro.core import DesignContext, run_scenarios
-
-        aig = build_circuit("ctrl", "small")
-        prefixes = ("flow.", "synth.", "stage1.", "stage2.")
-
-        def span_names(isolate):
-            context = DesignContext.default(10.0)
-            with obs.Tracer() as tracer:
-                results = run_scenarios(
-                    aig,
-                    context=context,
-                    scenarios=["baseline", "p_a_d"],
-                    vectors=32,
-                    jobs=2,
-                    isolate=isolate,
-                )
-            assert set(results) == {"baseline", "p_a_d"}
-            return {
-                record.name
-                for record in tracer.spans
-                if record.name.startswith(prefixes)
-            }
-
-        threaded = span_names("thread")
-        isolated = span_names("process")
-        assert threaded  # the in-process run records a real tree
-        missing = threaded - isolated
-        assert not missing, f"worker spans lost at the pipe: {sorted(missing)}"
 
 
 class TestResourceMonitor:

@@ -9,11 +9,8 @@ from repro.resilience import (
     DegradedError,
     InjectedFaultError,
     MeasurementError,
-    ParallelExecutionError,
     PermanentError,
     ReproError,
-    StageTimeoutError,
-    TimeoutExceeded,
     TransientError,
     classify,
     is_transient,
@@ -49,14 +46,8 @@ class TestTaxonomy:
             CacheCorruptionError,
             MeasurementError,
             InjectedFaultError,
-            TimeoutExceeded,
-            StageTimeoutError,
         ):
             assert is_transient(cls("x")), cls
-
-    def test_timeout_carries_budget(self):
-        exc = TimeoutExceeded("late", timeout_s=2.5)
-        assert exc.timeout_s == 2.5
 
     def test_calibration_error_still_a_valueerror(self):
         with pytest.raises(ValueError):
@@ -67,23 +58,6 @@ class TestTaxonomy:
 
         assert issubclass(ConvergenceError, RuntimeError)
         assert is_transient(ConvergenceError("no convergence"))
-
-
-class TestParallelExecutionError:
-    def test_all_transient_components_make_aggregate_transient(self):
-        agg = ParallelExecutionError(
-            "2 failed",
-            errors=[(0, "a", TransientError("x")), (1, "b", MeasurementError("y"))],
-        )
-        assert is_transient(agg)
-        assert len(agg.errors) == 2
-
-    def test_any_permanent_component_makes_aggregate_permanent(self):
-        agg = ParallelExecutionError(
-            "2 failed",
-            errors=[(0, "a", TransientError("x")), (1, "b", ValueError("y"))],
-        )
-        assert not is_transient(agg)
 
 
 class TestRunLadder:

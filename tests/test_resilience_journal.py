@@ -28,7 +28,12 @@ from repro.charlib.engine import default_library
 
 @pytest.fixture(scope="module")
 def library():
-    return default_library(10.0)
+    # Characterized under an empty plan so ambient ``REPRO_FAULTS``
+    # measurement faults cannot degrade it: degraded results are never
+    # journaled, which would leave a resume nothing to replay.  Ambient
+    # ``cache.disk`` corruption still applies to the runs below.
+    with injecting(FaultPlan([])):
+        return default_library(10.0)
 
 
 class TestRecordRoundtrip:
